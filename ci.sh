@@ -48,6 +48,11 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+# Every member crate's own tests (lint fixtures, codec, fault layer,
+# checkpoint format, exact sums, trainer units); the root package ran above.
+echo "==> cargo test -q --workspace --exclude plos"
+cargo test -q --workspace --exclude plos
+
 # The parity suite proves the fork-join pool leaves training output
 # bit-identical; run it pinned to one thread and at default parallelism.
 echo "==> PLOS_THREADS=1 cargo test -q --test parallel_parity"

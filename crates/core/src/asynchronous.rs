@@ -28,9 +28,10 @@
 //!
 //! **S = 0 degenerates to the synchronous path bit-for-bit**: the bound
 //! forces every reply fresh (`basis == epoch`), the pass becomes a
-//! barrier, and the fold/residual arithmetic below is line-for-line the
-//! Eq. (23)/(24) code of `DistributedPlos::server_loop` — enforced by the
-//! `async_parity` ci gate and `tests/fault_tolerance.rs`.
+//! barrier whose refresh set is the live roster, and the fold, residual
+//! and objective arithmetic is the synchronous servers' own
+//! (`crate::consensus`) — enforced by the `async_parity` ci gate and
+//! `tests/fault_tolerance.rs`.
 //!
 //! Checkpointing snapshots the consensus state at CCCP and refinement
 //! boundaries ([`plos_ckpt::AsyncState`]); at a boundary the server-held
@@ -40,32 +41,25 @@
 
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
 use crate::config::{FaultTolerance, PlosConfig};
-use crate::distributed::Fleet;
+use crate::consensus::{self, splitmix64, Cohort, Slots};
+use crate::distributed::{Fleet, Gather, Reply};
 use crate::error::CoreError;
 use crate::local::{LocalSolver, LocalUpdate};
 use crate::model::PersonalizedModel;
-use crate::problem;
 use crate::wire_u32;
-use parking_lot::Mutex;
-use plos_ckpt::{AsyncState, CkptError, DistributedPhase, KIND_ASYNC};
-use plos_linalg::{ExactSum, ExactVecSum, Vector};
+use plos_ckpt::{AsyncState, DistributedPhase, KIND_ASYNC};
+use plos_linalg::Vector;
 use plos_net::{
-    try_star, ClientExit, DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan, Message,
-    TrafficStats, TransportError,
+    DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan, Message, TrafficStats,
 };
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
-use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
 /// Hard per-pass cap on how long the server waits for the fleet. Generous:
 /// hitting it in barrier mode means the transport is actually broken, not
 /// merely slow.
 const SERVER_WAIT: Duration = Duration::from_secs(60);
-
-/// How long one poll of an outstanding link blocks during a collection
-/// sweep.
-const POLL_SLICE: Duration = Duration::from_millis(2);
 
 /// In barrier collections (init, refinement, `S = 0` passes, restore
 /// handshakes) the assignment is re-sent to silent devices at this cadence
@@ -204,6 +198,31 @@ struct AsyncDeviceMachine {
     panic_at: Option<u32>,
 }
 
+impl AsyncDeviceMachine {
+    /// Caches and sends `update` as the reply to assignment `epoch`,
+    /// computed against `basis`.
+    fn reply(&mut self, epoch: u32, basis: u32, update: LocalUpdate) -> DeviceStep {
+        let reply = Message::AsyncUpdate {
+            epoch,
+            basis,
+            user: self.user,
+            w_t: update.w_t,
+            v_t: update.v_t,
+            xi_t: update.xi_t,
+        };
+        self.sent = Some((epoch, reply.clone()));
+        DeviceStep::Send(reply)
+    }
+
+    /// The cached reply to a re-sent or duplicated assignment `epoch`.
+    fn cached(&self, epoch: u32) -> Option<DeviceStep> {
+        match &self.sent {
+            Some((e, reply)) if *e == epoch => Some(DeviceStep::Send(reply.clone())),
+            _ => None,
+        }
+    }
+}
+
 impl DeviceMachine for AsyncDeviceMachine {
     type Output = ClientOutcome;
 
@@ -216,65 +235,33 @@ impl DeviceMachine for AsyncDeviceMachine {
                 if self.panic_at.is_some_and(|at| epoch >= at) {
                     panic!("planned chaos: device {} crashed at epoch {epoch}", self.user);
                 }
-                if let Some((e, reply)) = &self.sent {
-                    if *e == epoch {
-                        return DeviceStep::Send(reply.clone());
-                    }
+                if let Some(step) = self.cached(epoch) {
+                    return step;
                 }
-                let reply = if epoch == 0 {
+                if epoch == 0 {
                     // Init epoch: contribute a local hyperplane if this
                     // device has labels of both classes.
-                    let w_init =
+                    let w_t =
                         self.solver.initial_hyperplane().unwrap_or_else(|| Vector::zeros(w0.len()));
-                    Message::AsyncUpdate {
-                        epoch,
-                        basis: epoch,
-                        user: self.user,
-                        w_t: w_init,
-                        v_t: Vector::zeros(w0.len()),
-                        xi_t: 0.0,
+                    let v_t = Vector::zeros(w0.len());
+                    return self.reply(epoch, epoch, LocalUpdate { w_t, v_t, xi_t: 0.0 });
+                }
+                let busy = staleness_bound > 0
+                    && self.last.is_some()
+                    && is_busy(self.spec.seed, self.t, epoch, self.spec.availability);
+                match (&self.last, busy) {
+                    (Some((basis, update)), true) => {
+                        self.stale += 1;
+                        let (basis, update) = (*basis, update.clone());
+                        self.reply(epoch, basis, update)
                     }
-                } else {
-                    let busy = staleness_bound > 0
-                        && self.last.is_some()
-                        && is_busy(self.spec.seed, self.t, epoch, self.spec.availability);
-                    match (&self.last, busy) {
-                        (Some((basis, update)), true) => {
-                            self.stale += 1;
-                            Message::AsyncUpdate {
-                                epoch,
-                                basis: *basis,
-                                user: self.user,
-                                w_t: update.w_t.clone(),
-                                v_t: update.v_t.clone(),
-                                xi_t: update.xi_t,
-                            }
-                        }
-                        _ => {
-                            self.fresh += 1;
-                            // A failed local solve degrades this device to
-                            // the consensus update rather than poisoning the
-                            // protocol.
-                            let update =
-                                self.solver.solve(&w0, &u_t).unwrap_or_else(|_| LocalUpdate {
-                                    w_t: w0.clone(),
-                                    v_t: Vector::zeros(w0.len()),
-                                    xi_t: 0.0,
-                                });
-                            self.last = Some((epoch, update.clone()));
-                            Message::AsyncUpdate {
-                                epoch,
-                                basis: epoch,
-                                user: self.user,
-                                w_t: update.w_t,
-                                v_t: update.v_t,
-                                xi_t: update.xi_t,
-                            }
-                        }
+                    _ => {
+                        self.fresh += 1;
+                        let update = self.solver.solve_or_consensus(&w0, &u_t);
+                        self.last = Some((epoch, update.clone()));
+                        self.reply(epoch, epoch, update)
                     }
-                };
-                self.sent = Some((epoch, reply.clone()));
-                DeviceStep::Send(reply)
+                }
             }
             Message::CccpAdvance { .. } => {
                 self.solver.advance_cccp();
@@ -285,30 +272,14 @@ impl DeviceMachine for AsyncDeviceMachine {
                 DeviceStep::NeedRecv
             }
             Message::Refine { round, w0 } => {
-                if let Some((e, reply)) = &self.sent {
-                    if *e == round {
-                        return DeviceStep::Send(reply.clone());
-                    }
+                if let Some(step) = self.cached(round) {
+                    return step;
                 }
-                let seed = self.solver.seed_for_round(round);
                 // Refinement is always fresh — it anchors the final model.
-                let update = self.solver.refine(&w0, seed).unwrap_or_else(|_| LocalUpdate {
-                    w_t: w0.clone(),
-                    v_t: Vector::zeros(w0.len()),
-                    xi_t: 0.0,
-                });
+                let update = self.solver.refine_or_consensus(&w0, round);
                 self.fresh += 1;
                 self.last = Some((round, update.clone()));
-                let reply = Message::AsyncUpdate {
-                    epoch: round,
-                    basis: round,
-                    user: self.user,
-                    w_t: update.w_t,
-                    v_t: update.v_t,
-                    xi_t: update.xi_t,
-                };
-                self.sent = Some((round, reply.clone()));
-                DeviceStep::Send(reply)
+                self.reply(round, round, update)
             }
             // The cohort shrank: rescale every T-dependent quantity,
             // notably κ = λ/T in the local objective.
@@ -323,16 +294,8 @@ impl DeviceMachine for AsyncDeviceMachine {
             Message::Restore { round, t_count, w_t } => {
                 self.solver.restore(w_t, t_count as usize);
                 self.last = None;
-                let reply = Message::AsyncUpdate {
-                    epoch: round,
-                    basis: round,
-                    user: self.user,
-                    w_t: Vector::zeros(0),
-                    v_t: Vector::zeros(0),
-                    xi_t: 0.0,
-                };
-                self.sent = Some((round, reply.clone()));
-                DeviceStep::Send(reply)
+                let empty = Vector::zeros(0);
+                self.reply(round, round, LocalUpdate { w_t: empty.clone(), v_t: empty, xi_t: 0.0 })
             }
             // Stray frames (sync-protocol broadcasts, peer updates): drop
             // rather than dying on a protocol hiccup.
@@ -359,13 +322,10 @@ fn is_busy(seed: u64, t: usize, epoch: u32, availability: f64) -> bool {
     if availability >= 1.0 {
         return false;
     }
-    let mut z = seed
-        ^ (t as u64).wrapping_mul(0xd129_0d3a_37cf_1e2b)
-        ^ u64::from(epoch).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = splitmix64(
+        seed ^ (t as u64).wrapping_mul(0xd129_0d3a_37cf_1e2b)
+            ^ u64::from(epoch).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    );
     let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
     unit >= availability
 }
@@ -381,150 +341,196 @@ fn async_fingerprint(config: &PlosConfig, spec: &AsyncSpec, t_count: usize, dim:
     mix(mix(mix(base, spec.availability.to_bits()), spec.seed), u64::from(spec.staleness_bound))
 }
 
-/// Shape check on a restored async snapshot (the fingerprint already binds
-/// cohort, config and spec; this guards vector lengths before arithmetic).
-fn validate_async_state(state: &AsyncState, t_count: usize, dim: usize) -> Result<(), CoreError> {
-    let mut ok = state.us.len() == t_count && state.w0.len() == dim;
-    for group in [&state.us, &state.w_ts, &state.v_ts] {
-        ok &= group.len() == t_count && group.iter().all(|v| v.len() == dim);
-    }
-    ok &= state.xi_ts.len() == t_count && state.alive.len() == t_count;
-    if ok {
-        Ok(())
-    } else {
-        Err(CoreError::Ckpt(CkptError::Malformed {
-            detail: format!(
-                "async checkpoint shape does not match this run (cohort {t_count}, dim {dim})"
-            ),
-        }))
-    }
-}
-
-/// One collection sweep over the outstanding assignments.
-///
-/// Matches arriving `AsyncUpdate`s against `outstanding` by epoch tag,
-/// folds the ones within the staleness bound through `sink`, and counts
-/// the rest (late/stale/protocol discards). In `barrier` mode the sweep
-/// blocks until the whole live roster is accounted for (re-sending the
-/// assignment to silent devices so dropped frames cannot stall it) and a
-/// [`SERVER_WAIT`] expiry is a transport error; otherwise the sweep
-/// returns once no reply has arrived for `quiet_window`.
-///
-/// Returns the number of folded updates.
-// Allowed: the sweep threads the full pass context (epoch tags, bound,
-// windows, resend closure, fold sink); bundling them into a one-shot
-// struct would only move the argument list behind a constructor.
-#[allow(clippy::too_many_arguments)]
-fn collect_replies(
-    fleet: &mut Fleet<'_>,
-    outstanding: &mut [Option<u32>],
+/// The bounded-staleness collection policy for [`Fleet::poll`]: matches
+/// arriving `AsyncUpdate`s against `outstanding` by epoch tag, folds the
+/// ones within the staleness bound, and counts the rest
+/// (late/stale/protocol discards). A `barrier` collection lasts until the
+/// whole live roster is accounted for — re-sending the assignment to
+/// silent devices so dropped frames cannot stall it — and a
+/// [`SERVER_WAIT`] expiry is a transport error; otherwise it closes once
+/// no reply has arrived for `quiet_window`.
+struct Collect<'c> {
+    outstanding: &'c mut [Option<u32>],
     epoch: u32,
     staleness_bound: u32,
-    quiet_window: Duration,
     barrier: bool,
-    resend: &dyn Fn(usize) -> Message,
-    stale_discards: &mut u64,
-    sink: &mut dyn FnMut(usize, Vector, Vector, f64),
-) -> Result<usize, CoreError> {
-    // D2 audit: these clocks gate only the pass/quiescence windows and the
-    // barrier re-send cadence — whether a reply folds is decided purely by
-    // its epoch/basis tags, never by the wall-clock instant it arrived at.
-    // Asserted clock-independent by tests/clock_independence.rs.
-    // plos-lint: allow(D2): pass-window/deadline timeout plumbing only
-    let started = Instant::now();
-    let hard_deadline = started + SERVER_WAIT;
-    let mut quiet_deadline = started + quiet_window;
-    let mut resend_at = started + RESEND_AFTER;
-    let mut folded = 0usize;
-    loop {
-        if fleet.alive_count() == 0 {
-            return Err(CoreError::Transport {
-                detail: format!("every device disconnected before epoch {epoch} closed"),
-            });
+    quiet_window: Duration,
+    hard_deadline: Instant,
+    quiet_deadline: Instant,
+    resend_at: Instant,
+    resend: &'c dyn Fn(usize) -> Message,
+    stale_discards: &'c mut u64,
+    accepted: Vec<Reply>,
+}
+
+impl Gather for Collect<'_> {
+    fn awaiting(&self, t: usize) -> bool {
+        matches!(self.outstanding.get(t), Some(Some(_)))
+    }
+
+    fn closes(&mut self, now: Instant, waiting: usize, _alive: usize) -> Result<bool, CoreError> {
+        if waiting == 0 {
+            return Ok(true);
         }
-        let waiting: Vec<usize> = (0..outstanding.len())
-            .filter(|&t| fleet.is_alive(t) && matches!(outstanding.get(t), Some(Some(_))))
-            .collect();
-        if waiting.is_empty() {
-            break;
-        }
-        // plos-lint: allow(D2): pass-window/deadline timeout plumbing only
-        let now = Instant::now();
-        if now >= hard_deadline {
-            if barrier {
+        if now >= self.hard_deadline {
+            if self.barrier {
                 return Err(CoreError::Transport {
                     detail: format!(
-                        "{} device(s) silent for {SERVER_WAIT:?} in epoch {epoch}",
-                        waiting.len()
+                        "{waiting} device(s) silent for {SERVER_WAIT:?} in epoch {}",
+                        self.epoch
                     ),
                 });
             }
-            break;
+            return Ok(true);
         }
-        if !barrier && now >= quiet_deadline {
-            break;
-        }
-        if barrier && now >= resend_at {
-            for &t in &waiting {
-                let message = resend(t);
-                fleet.send_to(t, &message);
+        Ok(!self.barrier && now >= self.quiet_deadline)
+    }
+
+    fn resend_due(&mut self, now: Instant) -> Option<&dyn Fn(usize) -> Message> {
+        (self.barrier && now >= self.resend_at).then_some(self.resend)
+    }
+
+    fn resent(&mut self, at: Instant) {
+        self.resend_at = at + RESEND_AFTER;
+    }
+
+    fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message) {
+        let Message::AsyncUpdate { epoch, basis, user, w_t, v_t, xi_t } = frame else {
+            fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
+            return;
+        };
+        // Any arrival re-arms the quiescence window.
+        // plos-lint: allow(D2): quiescence-window bookkeeping only
+        self.quiet_deadline = Instant::now() + self.quiet_window;
+        let matched = matches!(self.outstanding.get(t), Some(Some(assigned)) if *assigned == epoch);
+        if user as usize != fleet.id(t) {
+            fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
+        } else if !matched {
+            // A duplicate, or an answer to a superseded assignment:
+            // discard by tag, never merge.
+            fleet.late_discards = fleet.late_discards.saturating_add(1);
+        } else {
+            if let Some(slot) = self.outstanding.get_mut(t) {
+                *slot = None;
             }
-            // plos-lint: allow(D2): barrier re-send cadence only
-            resend_at = Instant::now() + RESEND_AFTER;
-        }
-        for &t in &waiting {
-            if !fleet.is_alive(t) {
-                continue;
-            }
-            let Some(link) = fleet.links.get_mut(t) else { continue };
-            let received = link.recv_timeout(POLL_SLICE);
-            match received {
-                Ok(Message::AsyncUpdate { epoch: e, basis, user, w_t, v_t, xi_t }) => {
-                    // Any arrival re-arms the quiescence window.
-                    // plos-lint: allow(D2): quiescence-window bookkeeping only
-                    quiet_deadline = Instant::now() + quiet_window;
-                    let matched =
-                        matches!(outstanding.get(t), Some(Some(assigned)) if *assigned == e);
-                    if user as usize != t {
-                        fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
-                    } else if !matched {
-                        // A duplicate, or an answer to a superseded
-                        // assignment: discard by tag, never merge.
-                        fleet.late_discards = fleet.late_discards.saturating_add(1);
-                    } else {
-                        if let Some(slot) = outstanding.get_mut(t) {
-                            *slot = None;
-                        }
-                        let staleness = epoch.saturating_sub(basis);
-                        if staleness <= staleness_bound {
-                            folded += 1;
-                            sink(t, w_t, v_t, xi_t);
-                        } else {
-                            *stale_discards = stale_discards.saturating_add(1);
-                            if plos_obs::enabled() {
-                                plos_obs::emit(
-                                    "stale_discard",
-                                    &[
-                                        ("device", t.into()),
-                                        ("epoch", epoch.into()),
-                                        ("basis", basis.into()),
-                                        ("staleness", staleness.into()),
-                                    ],
-                                );
-                                plos_obs::counter_add("async.stale_discards", 1);
-                            }
-                        }
-                    }
+            let staleness = self.epoch.saturating_sub(basis);
+            if staleness <= self.staleness_bound {
+                self.accepted.push((t, w_t, v_t, xi_t));
+            } else {
+                *self.stale_discards = self.stale_discards.saturating_add(1);
+                if plos_obs::enabled() {
+                    plos_obs::emit(
+                        "stale_discard",
+                        &[
+                            ("device", t.into()),
+                            ("epoch", self.epoch.into()),
+                            ("basis", basis.into()),
+                            ("staleness", staleness.into()),
+                        ],
+                    );
+                    plos_obs::counter_add("async.stale_discards", 1);
                 }
-                Ok(_) => fleet.protocol_errors = fleet.protocol_errors.saturating_add(1),
-                // A corrupted frame surfaced as a codec error; barrier mode
-                // re-sends, S > 0 mode re-assigns once over-stale.
-                Err(TransportError::Timeout | TransportError::Codec(_)) => {}
-                Err(TransportError::Disconnected) => fleet.evict(t),
             }
         }
     }
-    Ok(folded)
+}
+
+/// The assignment ledger: which epoch each device owes a reply to, the
+/// current epoch, and the server-side discard/reassignment counters.
+struct Ledger {
+    outstanding: Vec<Option<u32>>,
+    epoch: u32,
+    stale_discards: u64,
+    reassignments: u64,
+}
+
+impl Ledger {
+    /// One collection over the outstanding assignments of the current
+    /// epoch (see [`Collect`]). Returns the updates to fold.
+    fn collect(
+        &mut self,
+        fleet: &mut Fleet<'_>,
+        staleness_bound: u32,
+        (quiet_window, barrier): (Duration, bool),
+        resend: &dyn Fn(usize) -> Message,
+    ) -> Result<Vec<Reply>, CoreError> {
+        // D2 audit: whether a reply folds is decided purely by its
+        // epoch/basis tags, never by the wall-clock instant it arrived at.
+        // plos-lint: allow(D2): pass-window/deadline timeout plumbing only
+        let started = Instant::now();
+        let mut collect = Collect {
+            outstanding: &mut self.outstanding,
+            epoch: self.epoch,
+            staleness_bound,
+            barrier,
+            quiet_window,
+            hard_deadline: started + SERVER_WAIT,
+            quiet_deadline: started + quiet_window,
+            resend_at: started + RESEND_AFTER,
+            resend,
+            stale_discards: &mut self.stale_discards,
+            accepted: Vec::new(),
+        };
+        fleet.poll(self.epoch, &mut collect)?;
+        Ok(collect.accepted)
+    }
+
+    /// Marks every live device as owing a reply to the current epoch.
+    fn await_all(&mut self, fleet: &Fleet<'_>) {
+        for (t, slot) in self.outstanding.iter_mut().enumerate() {
+            if fleet.is_alive(t) {
+                *slot = Some(self.epoch);
+            }
+        }
+    }
+}
+
+/// The async server's consensus state: with the ledger and the roster,
+/// exactly what an [`AsyncState`] snapshot records.
+struct AsyncRun {
+    slots: Slots,
+    w0: Vector,
+    history: History,
+    admm_iterations: usize,
+    converged: bool,
+    cccp_rounds: usize,
+    ledger: Ledger,
+}
+
+impl AsyncRun {
+    /// The boundary snapshot a resumed run restarts from.
+    fn snapshot(
+        &self,
+        fingerprint: u64,
+        phase: DistributedPhase,
+        cccp_round: u32,
+        fleet: &Fleet<'_>,
+    ) -> AsyncState {
+        AsyncState {
+            fingerprint,
+            phase,
+            epoch: self.ledger.epoch,
+            cccp_round,
+            admm_epochs: self.admm_iterations as u64,
+            cccp_rounds: wire_u32(self.cccp_rounds),
+            converged: self.converged,
+            stale_discards: self.ledger.stale_discards,
+            late_discards: fleet.late_discards,
+            reassignments: self.ledger.reassignments,
+            protocol_errors: fleet.protocol_errors,
+            w0: self.w0.clone(),
+            us: self.slots.u.clone(),
+            // At a CCCP boundary (fault-free) and after refinement each
+            // device's anchor is its own last w_t, so these slots are what
+            // a resumed server hands back.
+            w_ts: self.slots.w.clone(),
+            v_ts: self.slots.v.clone(),
+            xi_ts: self.slots.xi.clone(),
+            alive: fleet.alive.clone(),
+            evicted: fleet.evicted.iter().map(|&t| t as u64).collect(),
+            history: self.history.values().to_vec(),
+        }
+    }
 }
 
 impl AsyncDistributedPlos {
@@ -598,10 +604,6 @@ impl AsyncDistributedPlos {
     /// barrier collection starved. Local solve failures on a device degrade
     /// that device to the consensus update instead of aborting the
     /// protocol.
-    // Allowed: the slot map is created with one entry per device index and
-    // the network runs each device closure exactly once per index, so the
-    // take-once expect cannot fail.
-    #[allow(clippy::expect_used)]
     pub fn fit_with_faults(
         &self,
         dataset: &MultiUserDataset,
@@ -610,106 +612,57 @@ impl AsyncDistributedPlos {
         let _span = plos_obs::Span::enter("async_fit");
         // plos-lint: allow(D2): wall_clock field of the report only
         let started = Instant::now();
-        plan.validate().map_err(|detail| CoreError::Protocol {
-            detail: format!("invalid fault plan: {detail}"),
-        })?;
-        let prepared = problem::prepare(dataset, self.config.bias);
-        let t_count = prepared.users.len();
-        if t_count == 0 {
-            return Err(CoreError::EmptyDataset);
-        }
-        let dim = prepared.dim;
-
-        let policy = self.ckpt.clone().or_else(CheckpointPolicy::from_env);
+        let cohort = Cohort::prepare(dataset, plan, &self.config)?;
+        let (t_count, dim) = (cohort.t_count, cohort.dim);
         let fingerprint = async_fingerprint(&self.config, &self.spec, t_count, dim);
-        let mut session = policy.as_ref().map(|p| p.session("async"));
-        let resume = match &session {
-            Some(sess) => match sess.load()? {
-                Some(file) => {
-                    let state = AsyncState::decode(&file).map_err(CoreError::Ckpt)?;
-                    checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
-                    validate_async_state(&state, t_count, dim)?;
-                    plos_obs::emit(
-                        "checkpoint_resume",
-                        &[
-                            ("trainer", "async".to_string().into()),
-                            ("epoch", state.epoch.into()),
-                            ("cccp_round", state.cccp_round.into()),
-                        ],
-                    );
-                    Some(Box::new(state))
-                }
-                None => None,
-            },
-            None => None,
-        };
+        let (session, resume) = consensus::open_checkpoint(self.ckpt.as_ref(), "async", |file| {
+            let state = AsyncState::decode(file).map_err(CoreError::Ckpt)?;
+            checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
+            let slots = [&state.us, &state.w_ts, &state.v_ts];
+            let mut lens =
+                slots.map(Vec::len).into_iter().chain([state.xi_ts.len(), state.alive.len()]);
+            let counts_ok = lens.all(|n| n == t_count);
+            let vectors = std::iter::once(&state.w0).chain(slots.into_iter().flatten());
+            consensus::check_shape(counts_ok, vectors, t_count, dim)?;
+            plos_obs::emit(
+                "checkpoint_resume",
+                &[
+                    ("trainer", "async".to_string().into()),
+                    ("epoch", state.epoch.into()),
+                    ("cccp_round", state.cccp_round.into()),
+                ],
+            );
+            Ok(state)
+        })?;
 
-        let slots: Mutex<Vec<Option<LocalSolver>>> = Mutex::new(
-            prepared
-                .users
-                .iter()
-                .enumerate()
-                .map(|(t, u)| {
-                    let mut cfg = self.config.clone();
-                    cfg.seed = cfg.seed.wrapping_add(t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    Some(LocalSolver::new(u.clone(), cfg, t_count))
-                })
-                .collect(),
-        );
-
-        let network =
-            try_star(t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
         let spec = self.spec;
-        let session_ref = &mut session;
-        let (server_out, exits) = network.run_devices(
+        let (server_out, exits) = cohort.run(
+            &self.config,
             self.runtime,
-            |server_ends| {
-                self.server_loop(server_ends, dim, t_count, plan, fingerprint, resume, session_ref)
+            |ends| self.serve(ends, t_count, dim, plan, fingerprint, resume, session),
+            |t, solver| AsyncDeviceMachine {
+                user: wire_u32(t),
+                t,
+                solver,
+                spec,
+                last: None,
+                sent: None,
+                stale: 0,
+                fresh: 0,
+                panic_at: plan.panic_round(t),
             },
-            |t| {
-                let solver = slots.lock().get_mut(t).and_then(Option::take);
-                let solver = solver.expect("each device slot taken once");
-                AsyncDeviceMachine {
-                    user: wire_u32(t),
-                    t,
-                    solver,
-                    spec,
-                    last: None,
-                    sent: None,
-                    stale: 0,
-                    fresh: 0,
-                    panic_at: plan.panic_round(t),
-                }
-            },
-        );
+        )?;
 
         let (model, mut report) = server_out?;
-        let mut traffic = Vec::with_capacity(t_count);
-        let mut stale_replies = Vec::with_capacity(t_count);
-        let mut fresh_replies = Vec::with_capacity(t_count);
-        let mut panicked = Vec::new();
-        for (t, exit) in exits.into_iter().enumerate() {
-            match exit {
-                ClientExit::Finished(out) => {
-                    traffic.push(out.stats);
-                    stale_replies.push(out.stale);
-                    fresh_replies.push(out.fresh);
-                }
-                ClientExit::Panicked(_) => {
-                    traffic.push(TrafficStats::default());
-                    stale_replies.push(0);
-                    fresh_replies.push(0);
-                    panicked.push(t);
-                }
-            }
+        for out in exits.outputs {
+            let out =
+                out.unwrap_or(ClientOutcome { stats: TrafficStats::default(), stale: 0, fresh: 0 });
+            report.per_user_traffic.push(out.stats);
+            report.stale_replies.push(out.stale);
+            report.fresh_replies.push(out.fresh);
         }
-        report.per_user_traffic = traffic;
-        report.stale_replies = stale_replies;
-        report.fresh_replies = fresh_replies;
-        if !panicked.is_empty() {
-            report.protocol_errors = report.protocol_errors.saturating_add(panicked.len() as u64);
-        }
-        report.panicked = panicked;
+        report.protocol_errors = report.protocol_errors.saturating_add(exits.panicked.len() as u64);
+        report.panicked = exits.panicked;
         report.wall_clock = started.elapsed();
         if plos_obs::enabled() {
             plos_obs::emit(
@@ -730,53 +683,50 @@ impl AsyncDistributedPlos {
 
     /// The server thread: initialization (or checkpoint resume), CCCP ×
     /// bounded-staleness ADMM passes, refinement, shutdown. The Eq. (23)
-    /// fold, Eq. (24) residuals and the objective are line-for-line the
-    /// synchronous server's — only the collection discipline differs.
+    /// fold, Eq. (24) residuals and the objective are the shared consensus
+    /// core's — only the collection discipline and the refresh set differ.
     // Allowed: the resume/checkpoint plumbing genuinely needs the run
     // coordinates threaded through, and splitting the protocol driver would
     // scatter the epoch/phase invariants across functions.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn server_loop(
+    fn serve(
         &self,
         ends: &[Endpoint],
-        dim: usize,
         t_count: usize,
+        dim: usize,
         plan: &FaultPlan,
         fingerprint: u64,
-        resume: Option<Box<AsyncState>>,
-        session: &mut Option<CkptSession>,
+        resume: Option<AsyncState>,
+        mut session: Option<CkptSession>,
     ) -> Result<(PersonalizedModel, AsyncReport), CoreError> {
         let mut fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default());
-        let rho = self.config.rho;
+        let (rho, lambda) = (self.config.rho, self.config.lambda);
         let bound = self.spec.staleness_bound;
         // S = 0 is a barrier pass; S > 0 closes on quiescence.
-        let pass_barrier = bound == 0;
-        let quiet_window = if pass_barrier { SERVER_WAIT } else { self.spec.poll_window };
+        let barrier = (SERVER_WAIT, true);
+        let pass = if bound == 0 { barrier } else { (self.spec.poll_window, false) };
         let pass_cap = self.config.max_admm_iters.saturating_mul(PASS_CAP_FACTOR);
 
-        let mut outstanding: Vec<Option<u32>> = vec![None; t_count];
-        let mut stale_discards = 0u64;
-        let mut reassignments = 0u64;
-
-        let mut w0;
-        let mut us;
-        let mut w_ts;
-        let mut v_ts;
-        let mut xi_ts;
-        let mut history;
-        let mut admm_iterations;
-        let mut epoch;
-        let mut converged;
-        let mut cccp_rounds;
-        let start_cccp: usize;
-        let refine_start: u32;
-        let mut skip_advance = false;
-
-        if let Some(state) = resume {
-            let st = *state;
-            // Adopt the checkpointed roster, then tell the fresh threads of
-            // already-evicted devices to exit so the end-of-run join cannot
-            // hang on them.
+        let mut run = AsyncRun {
+            slots: Slots::new(t_count, dim),
+            w0: Vector::zeros(dim),
+            history: History::new(),
+            admm_iterations: 0,
+            converged: false,
+            cccp_rounds: 0,
+            ledger: Ledger {
+                outstanding: vec![None; t_count],
+                epoch: 0,
+                stale_discards: 0,
+                reassignments: 0,
+            },
+        };
+        let (mut start_cccp, mut refine_start, mut skip_advance) = (0, 0, false);
+        if let Some(st) = resume {
+            // Adopt the checkpointed roster, then reposition the survivors:
+            // at a CCCP/refinement boundary every device's own anchor
+            // equals the server-held w_t slot, so the Restore handshake
+            // re-seats the fleet exactly.
             for (flag, &stored) in fleet.alive.iter_mut().zip(&st.alive) {
                 *flag = stored;
             }
@@ -784,68 +734,27 @@ impl AsyncDistributedPlos {
                 st.evicted.iter().map(|&t| usize::try_from(t).unwrap_or(usize::MAX)).collect();
             fleet.protocol_errors = st.protocol_errors;
             fleet.late_discards = st.late_discards;
-            for t in 0..t_count {
-                if !fleet.is_alive(t) {
-                    fleet.shutdown_device(t);
-                }
-            }
-            // Reposition the survivors: at a CCCP/refinement boundary every
-            // device's own anchor equals the server-held w_t slot, so the
-            // Restore handshake re-seats the fleet exactly.
-            let cohort = wire_u32(fleet.alive_count());
-            let restore_round = st.epoch;
-            let restore_anchors = st.w_ts.clone();
-            let restore = move |t: usize| Message::Restore {
-                round: restore_round,
-                t_count: cohort,
-                w_t: restore_anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-            };
-            fleet.send_alive(&restore);
-            for t in 0..t_count {
-                if fleet.is_alive(t) {
-                    if let Some(slot) = outstanding.get_mut(t) {
-                        *slot = Some(restore_round);
-                    }
-                }
-            }
-            collect_replies(
-                &mut fleet,
-                &mut outstanding,
-                restore_round,
-                bound,
-                SERVER_WAIT,
-                true,
-                &restore,
-                &mut stale_discards,
-                &mut |_t, _w, _v, _xi| {},
-            )?;
-
-            w0 = st.w0;
-            us = st.us;
-            w_ts = st.w_ts;
-            v_ts = st.v_ts;
-            xi_ts = st.xi_ts;
-            history = History::from_values(st.history);
-            admm_iterations = st.admm_epochs as usize;
-            epoch = st.epoch;
-            converged = st.converged;
-            cccp_rounds = st.cccp_rounds as usize;
-            stale_discards = st.stale_discards;
-            reassignments = st.reassignments;
-            match st.phase {
-                DistributedPhase::Admm => {
-                    start_cccp = st.cccp_round as usize;
-                    refine_start = 0;
-                    // The handshake already repositioned every device at its
-                    // boundary anchor; sending CccpAdvance again would
-                    // double-linearize.
-                    skip_advance = true;
-                }
+            let restore = fleet.send_restore(st.epoch, st.w_ts.clone(), dim);
+            run.ledger.epoch = st.epoch;
+            run.ledger.await_all(&fleet);
+            run.ledger.collect(&mut fleet, bound, barrier, &restore)?;
+            run.ledger.stale_discards = st.stale_discards;
+            run.ledger.reassignments = st.reassignments;
+            run.slots = Slots { dim, w: st.w_ts, v: st.v_ts, xi: st.xi_ts, u: st.us };
+            run.w0 = st.w0;
+            run.history = History::from_values(st.history);
+            run.admm_iterations = st.admm_epochs as usize;
+            run.converged = st.converged;
+            run.cccp_rounds = st.cccp_rounds as usize;
+            (start_cccp, refine_start, skip_advance) = match st.phase {
+                // The handshake already repositioned every device at its
+                // boundary anchor; sending CccpAdvance again would
+                // double-linearize.
+                DistributedPhase::Admm => (st.cccp_round as usize, 0, true),
                 DistributedPhase::Refine { rounds_done } => {
-                    start_cccp = self.config.max_cccp_rounds;
-                    refine_start = rounds_done;
+                    (self.config.max_cccp_rounds, rounds_done, false)
                 }
-            }
+            };
         } else {
             // ---- Init epoch 0: average provider hyperplanes (identical to
             // Algorithm 2). ----
@@ -857,72 +766,19 @@ impl AsyncDistributedPlos {
                 u_t: zero.clone(),
             };
             fleet.send_alive(&init);
-            for t in 0..t_count {
-                if fleet.is_alive(t) {
-                    if let Some(slot) = outstanding.get_mut(t) {
-                        *slot = Some(0);
-                    }
-                }
-            }
-            let mut w_inits = vec![Vector::zeros(dim); t_count];
-            collect_replies(
-                &mut fleet,
-                &mut outstanding,
-                0,
-                bound,
-                SERVER_WAIT,
-                true,
-                &init,
-                &mut stale_discards,
-                &mut |t, w_t, _v_t, _xi_t| {
-                    if let Some(slot) = w_inits.get_mut(t) {
-                        *slot = w_t;
-                    }
-                },
-            )?;
+            run.ledger.await_all(&fleet);
+            let replies = run.ledger.collect(&mut fleet, bound, barrier, &init)?;
             fleet.publish_roster();
-
-            // Exact fold, mirroring the synchronous path bit-for-bit (the
-            // S=0 async-parity gate pins the two together).
-            let mut w0_acc = ExactVecSum::zeros(dim);
-            let mut contributors = 0usize;
-            for w_init in &w_inits {
-                if w_init.norm() > 0.0 {
-                    w0_acc.add(w_init);
-                    contributors += 1;
-                }
-            }
-            if contributors > 0 {
-                w0 = w0_acc.value();
-                w0.scale_mut(1.0 / contributors as f64);
-            } else {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-                w0 = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let n = w0.norm();
-                if n > 0.0 {
-                    w0.scale_mut(1.0 / n);
-                }
-            }
-
-            us = vec![Vector::zeros(dim); t_count];
-            w_ts = vec![Vector::zeros(dim); t_count];
-            v_ts = vec![Vector::zeros(dim); t_count];
-            xi_ts = vec![0.0f64; t_count];
-            history = History::new();
-            admm_iterations = 0usize;
-            epoch = 0u32;
-            converged = false;
-            cccp_rounds = 0usize;
-            start_cccp = 0;
-            refine_start = 0;
+            let (sum, contributors) = consensus::init_sum(replies.iter().map(|r| &r.1), dim);
+            run.w0 = consensus::init_w0(&sum, contributors, self.config.seed);
         }
 
         // ---- CCCP × bounded-staleness ADMM passes ----
         for cccp_round in start_cccp..self.config.max_cccp_rounds {
-            if converged {
+            if run.converged {
                 break;
             }
-            cccp_rounds += 1;
+            run.cccp_rounds += 1;
             if cccp_round > 0 && !skip_advance {
                 fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round: wire_u32(cccp_round) });
                 fleet.publish_roster();
@@ -930,15 +786,22 @@ impl AsyncDistributedPlos {
             skip_advance = false;
             // The linearization changed: every in-flight assignment is
             // void, and its eventual reply a late discard.
-            for slot in outstanding.iter_mut() {
-                *slot = None;
-            }
+            run.ledger.outstanding.fill(None);
 
             let mut applied = 0usize;
             let mut passes = 0usize;
             while applied < self.config.max_admm_iters && passes < pass_cap {
                 passes += 1;
-                epoch = epoch.saturating_add(1);
+                let ledger = &mut run.ledger;
+                ledger.epoch = ledger.epoch.saturating_add(1);
+                let epoch = ledger.epoch;
+                // The same assignment serves the barrier re-sends.
+                let assignment = |t: usize| Message::AsyncBroadcast {
+                    epoch,
+                    staleness_bound: bound,
+                    w0: run.w0.clone(),
+                    u_t: run.slots.u.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+                };
                 // Assign: devices with nothing in flight get this epoch's
                 // (w0, u_t); devices whose outstanding assignment fell more
                 // than S epochs behind are re-assigned.
@@ -946,58 +809,25 @@ impl AsyncDistributedPlos {
                     if !fleet.is_alive(t) {
                         continue;
                     }
-                    let assign = match outstanding.get(t) {
+                    let assign = match ledger.outstanding.get(t) {
                         Some(None) => true,
-                        Some(Some(assigned)) if epoch.saturating_sub(*assigned) > bound => {
-                            reassignments = reassignments.saturating_add(1);
+                        Some(Some(at)) if epoch.saturating_sub(*at) > bound => {
+                            ledger.reassignments = ledger.reassignments.saturating_add(1);
                             true
                         }
                         _ => false,
                     };
                     if assign {
-                        let message = Message::AsyncBroadcast {
-                            epoch,
-                            staleness_bound: bound,
-                            w0: w0.clone(),
-                            u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                        };
-                        fleet.send_to(t, &message);
-                        if let Some(slot) = outstanding.get_mut(t) {
+                        fleet.send_to(t, &assignment(t));
+                        if let Some(slot) = ledger.outstanding.get_mut(t) {
                             *slot = Some(epoch);
                         }
                     }
                 }
                 fleet.publish_roster();
 
-                let scatter = |t: usize| Message::AsyncBroadcast {
-                    epoch,
-                    staleness_bound: bound,
-                    w0: w0.clone(),
-                    u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                };
-                let mut refreshed = vec![false; t_count];
-                let folded = collect_replies(
-                    &mut fleet,
-                    &mut outstanding,
-                    epoch,
-                    bound,
-                    quiet_window,
-                    pass_barrier,
-                    &scatter,
-                    &mut stale_discards,
-                    &mut |t, w_t, v_t, xi_t| {
-                        if let (Some(w), Some(v), Some(xi)) =
-                            (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                        {
-                            *w = w_t;
-                            *v = v_t;
-                            *xi = xi_t;
-                        }
-                        if let Some(flag) = refreshed.get_mut(t) {
-                            *flag = true;
-                        }
-                    },
-                )?;
+                let arrived = ledger.collect(&mut fleet, bound, pass, &assignment)?;
+                let folded = arrived.len();
                 fleet.publish_roster();
                 if folded == 0 {
                     // Nothing arrived in the window: the consensus state is
@@ -1005,118 +835,66 @@ impl AsyncDistributedPlos {
                     // previous iterate. Wait for the fleet instead.
                     continue;
                 }
-                applied += 1;
-                admm_iterations += 1;
-
-                // Eq. (23): closed-form z- and u-updates over the live
-                // cohort; every T-dependent scalar uses the shrunk size.
-                let cohort = fleet.alive_count() as f64;
-                let mut w0_acc = ExactVecSum::zeros(dim);
-                for (t, ((w_t, v_t), u_t)) in w_ts.iter().zip(&v_ts).zip(&us).enumerate() {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    w0_acc.add(w_t);
-                    w0_acc.sub(v_t);
-                    w0_acc.add(u_t);
-                }
-                let mut w0_new = w0_acc.value();
-                w0_new.scale_mut(rho / (2.0 + cohort * rho));
-                // Eq. (24): residuals.
-                let sqrt_2t = (2.0 * cohort).sqrt();
-                let sqrt_t = cohort.sqrt();
-                let dual_residual = rho * sqrt_2t * w0_new.distance(&w0);
                 // Dual updates and the primal residual range over the
-                // devices whose blocks were refreshed *this pass*: a
-                // frozen straggler slot must not accumulate dual drift or
-                // put a floor under the residual. Under S = 0 the barrier
-                // makes the refreshed set exactly the live roster, which
-                // is the synchronous loop verbatim.
-                let mut primal_acc = ExactSum::new();
-                for (t, (w_t, v_t)) in w_ts.iter().zip(&v_ts).enumerate() {
-                    if !fleet.is_alive(t) || !refreshed.get(t).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let mut delta = w_t.clone();
-                    delta -= &w0_new;
-                    delta -= v_t;
-                    primal_acc.add(delta.norm_squared());
-                    if let Some(u_t) = us.get_mut(t) {
-                        *u_t += &delta;
+                // devices whose blocks were refreshed *this pass*: a frozen
+                // straggler slot must not accumulate dual drift or put a
+                // floor under the residual. Under S = 0 the barrier makes
+                // the refreshed set exactly the live roster, which is the
+                // synchronous iteration verbatim.
+                let mut refresh = vec![false; t_count];
+                for (t, w, v, xi) in arrived {
+                    run.slots.store(t, w, v, xi);
+                    if let Some(flag) = refresh.get_mut(t) {
+                        *flag = fleet.is_alive(t);
                     }
                 }
-                let primal_sq = primal_acc.value();
-                w0 = w0_new;
+                applied += 1;
+                run.admm_iterations += 1;
 
-                let primal_residual = primal_sq.sqrt();
+                // Eq. (23)/(24) over the live cohort; every T-dependent
+                // scalar uses the shrunk size.
+                let cohort = fleet.alive_count();
+                let w0_new = consensus::admm_w0(&run.slots.admm_sum(&fleet.alive), cohort, rho);
+                let dual = consensus::dual_residual(&w0_new, &run.w0, cohort, rho);
+                let primal = run.slots.u_update(&w0_new, &refresh).value().sqrt();
+                run.w0 = w0_new;
                 if plos_obs::enabled() {
                     plos_obs::emit(
                         "async_round",
                         &[
                             ("epoch", epoch.into()),
-                            ("primal_residual", primal_residual.into()),
-                            ("dual_residual", dual_residual.into()),
+                            ("primal_residual", primal.into()),
+                            ("dual_residual", dual.into()),
                             ("folded", folded.into()),
-                            ("alive", fleet.alive_count().into()),
+                            ("alive", cohort.into()),
                         ],
                     );
                     plos_obs::counter_add("async.admm_rounds", 1);
                 }
-                if dual_residual <= sqrt_2t * self.config.eps_abs
-                    && primal_residual <= sqrt_t * self.config.eps_abs
-                {
+                if consensus::residuals_met(primal, dual, cohort, self.config.eps_abs) {
                     break;
                 }
             }
 
-            // Objective L (Eq. 23, third line), over the live cohort.
-            let kappa = self.config.lambda / fleet.alive_count() as f64;
-            let mut obj_v = ExactSum::new();
-            let mut obj_xi = ExactSum::new();
-            for (t, (v_t, xi_t)) in v_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                obj_v.add(v_t.norm_squared());
-                obj_xi.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * obj_v.value() + obj_xi.value();
-            history.push(objective);
+            let (v_sq, xi) = run.slots.objective_sums(&fleet.alive);
+            let objective = consensus::objective(&run.w0, fleet.alive_count(), lambda, &v_sq, &xi);
+            run.history.push(objective);
             plos_obs::emit(
                 "cccp_round",
-                &[("round", cccp_rounds.into()), ("objective", objective.into())],
+                &[("round", run.cccp_rounds.into()), ("objective", objective.into())],
             );
-            if history.converged(self.config.cccp_tol) {
-                converged = true;
+            if run.history.converged(self.config.cccp_tol) {
+                run.converged = true;
             }
             // CCCP boundary snapshot: at this point the server-held w_t
             // slots equal each live device's own anchor (fault-free), which
             // is what makes the Restore handshake above exact.
             if let Some(sess) = session.as_mut() {
-                let snapshot = AsyncState {
-                    fingerprint,
-                    phase: DistributedPhase::Admm,
-                    epoch,
-                    cccp_round: wire_u32(cccp_round + 1),
-                    admm_epochs: admm_iterations as u64,
-                    cccp_rounds: wire_u32(cccp_rounds),
-                    converged,
-                    stale_discards,
-                    late_discards: fleet.late_discards,
-                    reassignments,
-                    protocol_errors: fleet.protocol_errors,
-                    w0: w0.clone(),
-                    us: us.clone(),
-                    w_ts: w_ts.clone(),
-                    v_ts: v_ts.clone(),
-                    xi_ts: xi_ts.clone(),
-                    alive: fleet.alive.clone(),
-                    evicted: fleet.evicted.iter().map(|&t| t as u64).collect(),
-                    history: history.values().to_vec(),
-                };
-                sess.save(&snapshot.encode())?;
+                let phase = DistributedPhase::Admm;
+                let state = run.snapshot(fingerprint, phase, wire_u32(cccp_round + 1), &fleet);
+                sess.save(&state.encode())?;
             }
-            if converged {
+            if run.converged {
                 break;
             }
         }
@@ -1125,130 +903,55 @@ impl AsyncDistributedPlos {
         // final model, and keeping it synchronous is what pins the S > 0
         // accuracy band to the synchronous protocol's. ----
         for refine_round in refine_start as usize..self.config.refine_rounds {
-            epoch = epoch.saturating_add(1);
-            for slot in outstanding.iter_mut() {
-                *slot = None;
-            }
-            let refine = |_t: usize| Message::Refine { round: epoch, w0: w0.clone() };
+            let ledger = &mut run.ledger;
+            ledger.epoch = ledger.epoch.saturating_add(1);
+            ledger.outstanding.fill(None);
+            let round = ledger.epoch;
+            let refine = |_t: usize| Message::Refine { round, w0: run.w0.clone() };
             fleet.send_alive(&refine);
-            for t in 0..t_count {
-                if fleet.is_alive(t) {
-                    if let Some(slot) = outstanding.get_mut(t) {
-                        *slot = Some(epoch);
-                    }
-                }
+            ledger.await_all(&fleet);
+            for (t, w, v, xi) in ledger.collect(&mut fleet, bound, barrier, &refine)? {
+                run.slots.store(t, w, v, xi);
             }
-            collect_replies(
-                &mut fleet,
-                &mut outstanding,
-                epoch,
-                bound,
-                SERVER_WAIT,
-                true,
-                &refine,
-                &mut stale_discards,
-                &mut |t, w_t, v_t, xi_t| {
-                    if let (Some(w), Some(v), Some(xi)) =
-                        (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                    {
-                        *w = w_t;
-                        *v = v_t;
-                        *xi = xi_t;
-                    }
-                },
-            )?;
             fleet.publish_roster();
 
-            let cohort = fleet.alive_count() as f64;
-            let mut mean_acc = ExactVecSum::zeros(dim);
-            for (t, w_t) in w_ts.iter().enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                mean_acc.add(w_t);
-            }
-            let mut mean = mean_acc.value();
-            mean.scale_mut(1.0 / cohort);
-            w0 = mean.scaled(self.config.lambda / (1.0 + self.config.lambda));
+            let cohort = fleet.alive_count();
+            run.w0 = consensus::refine_w0(&run.slots.refine_sum(&fleet.alive), cohort, lambda);
             // xi_ts now carry true local losses, so this is the true
             // objective in the problem-(3) scale.
-            let kappa = self.config.lambda / cohort;
-            let mut dist_acc = ExactSum::new();
-            let mut xi_acc = ExactSum::new();
-            for (t, (w_t, xi_t)) in w_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                dist_acc.add(w_t.distance_squared(&w0));
-                xi_acc.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * dist_acc.value() + xi_acc.value();
-            history.push(objective);
+            let (dist, xi) = run.slots.refine_sums(&run.w0, &fleet.alive);
+            let objective = consensus::objective(&run.w0, cohort, lambda, &dist, &xi);
+            run.history.push(objective);
             plos_obs::emit(
                 "refine_round",
                 &[("round", (refine_round + 1).into()), ("objective", objective.into())],
             );
             if let Some(sess) = session.as_mut() {
-                let snapshot = AsyncState {
-                    fingerprint,
-                    phase: DistributedPhase::Refine { rounds_done: wire_u32(refine_round + 1) },
-                    epoch,
-                    cccp_round: wire_u32(self.config.max_cccp_rounds),
-                    admm_epochs: admm_iterations as u64,
-                    cccp_rounds: wire_u32(cccp_rounds),
-                    converged,
-                    stale_discards,
-                    late_discards: fleet.late_discards,
-                    reassignments,
-                    protocol_errors: fleet.protocol_errors,
-                    w0: w0.clone(),
-                    us: us.clone(),
-                    // Refinement anchors each device at its own last w_t,
-                    // so that is what a resumed server must hand back.
-                    w_ts: w_ts.clone(),
-                    v_ts: v_ts.clone(),
-                    xi_ts: xi_ts.clone(),
-                    alive: fleet.alive.clone(),
-                    evicted: fleet.evicted.iter().map(|&t| t as u64).collect(),
-                    history: history.values().to_vec(),
-                };
-                sess.save(&snapshot.encode())?;
+                let phase = DistributedPhase::Refine { rounds_done: wire_u32(refine_round + 1) };
+                let cccp_round = wire_u32(self.config.max_cccp_rounds);
+                sess.save(&run.snapshot(fingerprint, phase, cccp_round, &fleet).encode())?;
             }
         }
 
         fleet.shutdown();
-        if let Some(sess) = &*session {
+        if let Some(sess) = &session {
             sess.clear()?;
         }
 
-        // Personalized hyperplanes are exactly the devices' final w_t. A
-        // device evicted before it ever reported one falls back to the
-        // global model (zero bias).
-        let biases: Vec<Vector> =
-            w_ts.iter()
-                .enumerate()
-                .map(|(t, w_t)| {
-                    if fleet.is_alive(t) || w_t.norm() > 0.0 {
-                        w_t - &w0
-                    } else {
-                        Vector::zeros(dim)
-                    }
-                })
-                .collect();
-        let model = PersonalizedModel::new(w0, biases, self.config.bias);
+        let model = consensus::assemble_model(run.w0, &run.slots.w, &fleet.alive, self.config.bias);
         let report = AsyncReport {
             per_user_traffic: Vec::new(), // filled by fit()
-            admm_iterations,
-            cccp_rounds,
-            history,
-            converged,
+            admm_iterations: run.admm_iterations,
+            cccp_rounds: run.cccp_rounds,
+            history: run.history,
+            converged: run.converged,
             stale_replies: Vec::new(), // filled by fit()
             fresh_replies: Vec::new(), // filled by fit()
-            stale_discards,
+            stale_discards: run.ledger.stale_discards,
             late_discards: fleet.late_discards,
-            reassignments,
+            reassignments: run.ledger.reassignments,
             protocol_errors: fleet.protocol_errors,
-            evicted: fleet.evicted.clone(),
+            evicted: fleet.evicted,
             panicked: Vec::new(),       // filled by fit()
             wall_clock: Duration::ZERO, // filled by fit()
         };

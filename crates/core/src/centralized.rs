@@ -146,33 +146,27 @@ impl CentralizedPlos {
         // Checkpoint policy: explicit builder setting first, `PLOS_CKPT_DIR`
         // fallback. A valid snapshot resumes the run; a damaged one is a
         // typed error, never a silent fresh start.
-        let policy = self.ckpt.clone().or_else(CheckpointPolicy::from_env);
         let fingerprint = checkpoint::run_fingerprint(KIND_CENTRALIZED, t_count, dim, &self.config);
-        let mut session = policy.as_ref().map(|p| p.session("centralized"));
-        let resume = match &session {
-            Some(sess) => match sess.load()? {
-                Some(file) => {
-                    let st = CentralizedState::decode(&file)?;
-                    checkpoint::check_fingerprint(st.fingerprint, fingerprint)?;
-                    validate_restored(&st, t_count, dim)?;
-                    plos_obs::emit(
-                        "checkpoint_resume",
-                        &[
-                            ("kind", "centralized".into()),
-                            ("cccp_rounds", u64::from(st.cccp_rounds).into()),
-                        ],
-                    );
-                    match st.phase {
-                        CentralizedPhase::Cccp => ResumePoint::MidCccp(Box::new(st)),
-                        CentralizedPhase::Refine { rounds_done } => {
-                            ResumePoint::MidRefine(Box::new(st), rounds_done)
-                        }
+        let (mut session, resume) =
+            crate::consensus::open_checkpoint(self.ckpt.as_ref(), "centralized", |file| {
+                let st = CentralizedState::decode(file)?;
+                checkpoint::check_fingerprint(st.fingerprint, fingerprint)?;
+                validate_restored(&st, t_count, dim)?;
+                plos_obs::emit(
+                    "checkpoint_resume",
+                    &[
+                        ("kind", "centralized".into()),
+                        ("cccp_rounds", u64::from(st.cccp_rounds).into()),
+                    ],
+                );
+                Ok(match st.phase {
+                    CentralizedPhase::Cccp => ResumePoint::MidCccp(Box::new(st)),
+                    CentralizedPhase::Refine { rounds_done } => {
+                        ResumePoint::MidRefine(Box::new(st), rounds_done)
                     }
-                }
-                None => ResumePoint::Fresh,
-            },
-            None => ResumePoint::Fresh,
-        };
+                })
+            })?;
+        let resume = resume.unwrap_or(ResumePoint::Fresh);
 
         let mut cutting_rounds = 0usize;
         let mut constraints_added = 0usize;

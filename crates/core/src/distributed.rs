@@ -37,30 +37,25 @@
 //! fault-free synchronous protocol.
 
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
-use crate::config::{FaultTolerance, PlosConfig};
+use crate::config::{FaultTolerance, PlosConfig, RetryPolicy};
+use crate::consensus::{self, Aggregator, Cohort, Consensus, Exits, Gathered, Slots};
 use crate::error::CoreError;
 use crate::local::LocalSolver;
 use crate::model::PersonalizedModel;
-use crate::problem;
 use crate::sharded::Topology;
 use crate::wire_u32;
-use parking_lot::Mutex;
 use plos_ckpt::{
-    BroadcastRecord, CkptError, DistributedPhase, DistributedState, ParticipationRecord,
-    KIND_DISTRIBUTED,
+    BroadcastRecord, DistributedPhase, DistributedState, ParticipationRecord, KIND_DISTRIBUTED,
 };
-use plos_linalg::{ExactSum, ExactVecSum, Vector};
+use plos_linalg::{ExactSum, Vector};
+use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
-    try_star, ClientExit, DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan,
-    FaultyEndpoint, Message, TrafficStats, TransportError,
+    DeviceMachine, DeviceRuntime, DeviceStep, FaultPlan, FaultyEndpoint, Message, TrafficStats,
+    TransportError,
 };
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
-use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-
-#[cfg(doc)]
-use crate::config::RetryPolicy;
 
 /// How long one poll of an outstanding link blocks during a gather sweep.
 /// Small enough that retry/deadline checks stay responsive, large enough
@@ -178,6 +173,81 @@ impl DistributedReport {
             .sum::<f64>()
             / self.participation.len() as f64
     }
+
+    /// The server's half of a report, from the finished schedule and the
+    /// roster's fault-tolerance counters; [`finish_report`] adds the
+    /// devices' half.
+    pub(crate) fn from_server(
+        st: Consensus,
+        server_compute: Duration,
+        evicted: Vec<usize>,
+        participation: Vec<RoundParticipation>,
+        protocol_errors: u64,
+        late_discards: u64,
+    ) -> Self {
+        let degraded = !evicted.is_empty() || participation.iter().any(|p| p.replied < p.alive);
+        DistributedReport {
+            per_user_traffic: Vec::new(),
+            admm_iterations: st.admm_iterations,
+            cccp_rounds: st.cccp_rounds,
+            history: st.history,
+            converged: st.converged,
+            per_user_compute: Vec::new(),
+            server_compute,
+            wall_clock: Duration::ZERO,
+            degraded,
+            evicted,
+            participation,
+            protocol_errors,
+            late_discards,
+            residuals: st.residuals,
+            panicked: Vec::new(),
+        }
+    }
+}
+
+/// Adds the devices' half of a report — traffic, compute, crashed devices —
+/// and the run's wall clock, then emits the `traffic_summary` event. A
+/// crashed device left no outcome: its entries stay at their defaults and
+/// the crash is a counted protocol error, not a process abort.
+pub(crate) fn finish_report(
+    mut report: DistributedReport,
+    exits: Exits<ClientOutcome>,
+    started: Instant,
+) -> DistributedReport {
+    (report.per_user_traffic, report.per_user_compute) = exits
+        .outputs
+        .into_iter()
+        .map(|out| out.map_or((TrafficStats::default(), Duration::ZERO), |o| (o.stats, o.compute)))
+        .unzip();
+    if !exits.panicked.is_empty() {
+        report.protocol_errors = report.protocol_errors.saturating_add(exits.panicked.len() as u64);
+        report.degraded = true;
+    }
+    report.panicked = exits.panicked;
+    report.wall_clock = started.elapsed();
+    if plos_obs::enabled() {
+        // One summary event unifying the client-side traffic counters with
+        // the fault-tolerance counters of this run.
+        let total =
+            report.per_user_traffic.iter().fold(TrafficStats::default(), |acc, s| acc.merged(s));
+        plos_obs::emit(
+            "traffic_summary",
+            &[
+                ("bytes_sent", total.bytes_sent.into()),
+                ("bytes_received", total.bytes_received.into()),
+                ("bytes_discarded", total.bytes_discarded.into()),
+                ("messages_sent", total.messages_sent.into()),
+                ("messages_received", total.messages_received.into()),
+                ("decode_failures", total.decode_failures.into()),
+                ("protocol_errors", report.protocol_errors.into()),
+                ("late_discards", report.late_discards.into()),
+                ("evicted", report.evicted.len().into()),
+                ("participation_rate", report.participation_rate().into()),
+            ],
+        );
+    }
+    report
 }
 
 /// What each device hands back when it shuts down.
@@ -202,6 +272,18 @@ pub(crate) struct SyncDeviceMachine {
     pub(crate) panic_at: Option<u32>,
 }
 
+impl SyncDeviceMachine {
+    /// The device machine for device `t` under `plan`.
+    pub(crate) fn new(t: usize, solver: LocalSolver, plan: &FaultPlan) -> Self {
+        SyncDeviceMachine {
+            user: wire_u32(t),
+            solver,
+            compute: Duration::ZERO,
+            panic_at: plan.panic_round(t),
+        }
+    }
+}
+
 impl DeviceMachine for SyncDeviceMachine {
     type Output = ClientOutcome;
 
@@ -209,7 +291,9 @@ impl DeviceMachine for SyncDeviceMachine {
     // the regression is that the runtime contains it per-device.
     #[allow(clippy::panic)]
     fn on_message(&mut self, message: Message) -> DeviceStep {
-        match message {
+        // plos-lint: allow(D2): per-device compute-time metering only
+        let start = Instant::now();
+        let (round, update) = match message {
             Message::Broadcast { round, w0, u_t } => {
                 if self.panic_at.is_some_and(|at| round >= at) {
                     panic!("planned chaos: device {} crashed at round {round}", self.user);
@@ -217,70 +301,27 @@ impl DeviceMachine for SyncDeviceMachine {
                 if round == 0 {
                     // Init round: contribute a local hyperplane if this
                     // device has labels of both classes.
-                    // plos-lint: allow(D2): per-device compute-time metering only
-                    let start = Instant::now();
                     let w_init =
                         self.solver.initial_hyperplane().unwrap_or_else(|| Vector::zeros(w0.len()));
-                    self.compute += start.elapsed();
-                    DeviceStep::Send(Message::ClientUpdate {
-                        round,
-                        user: self.user,
-                        w_t: w_init,
-                        v_t: Vector::zeros(w0.len()),
-                        xi_t: 0.0,
-                    })
+                    (round, (w_init, Vector::zeros(w0.len()), 0.0))
                 } else {
-                    // plos-lint: allow(D2): per-device compute-time metering only
-                    let start = Instant::now();
-                    // A failed local solve degrades this device to the
-                    // consensus update rather than poisoning the protocol:
-                    // the server keeps driving the other devices and this
-                    // one rejoins next round.
-                    let update = self.solver.solve(&w0, &u_t).unwrap_or_else(|_| {
-                        crate::local::LocalUpdate {
-                            w_t: w0.clone(),
-                            v_t: Vector::zeros(w0.len()),
-                            xi_t: 0.0,
-                        }
-                    });
-                    self.compute += start.elapsed();
-                    DeviceStep::Send(Message::ClientUpdate {
-                        round,
-                        user: self.user,
-                        w_t: update.w_t,
-                        v_t: update.v_t,
-                        xi_t: update.xi_t,
-                    })
+                    let update = self.solver.solve_or_consensus(&w0, &u_t);
+                    (round, (update.w_t, update.v_t, update.xi_t))
                 }
+            }
+            Message::Refine { round, w0 } => {
+                let update = self.solver.refine_or_consensus(&w0, round);
+                (round, (update.w_t, update.v_t, update.xi_t))
             }
             Message::CccpAdvance { .. } => {
                 self.solver.advance_cccp();
-                DeviceStep::NeedRecv
-            }
-            Message::Refine { round, w0 } => {
-                // plos-lint: allow(D2): per-device compute-time metering only
-                let start = Instant::now();
-                let seed = self.solver.seed_for_round(round);
-                let update =
-                    self.solver.refine(&w0, seed).unwrap_or_else(|_| crate::local::LocalUpdate {
-                        w_t: w0.clone(),
-                        v_t: Vector::zeros(w0.len()),
-                        xi_t: 0.0,
-                    });
-                self.compute += start.elapsed();
-                DeviceStep::Send(Message::ClientUpdate {
-                    round,
-                    user: self.user,
-                    w_t: update.w_t,
-                    v_t: update.v_t,
-                    xi_t: update.xi_t,
-                })
+                return DeviceStep::NeedRecv;
             }
             // The cohort shrank: rescale every T-dependent quantity,
             // notably κ = λ/T in the local objective.
             Message::RosterUpdate { t_count } => {
                 self.solver.set_cohort_size(t_count as usize);
-                DeviceStep::NeedRecv
+                return DeviceStep::NeedRecv;
             }
             // Checkpoint resume: adopt the server's recorded CCCP anchor
             // and cohort size, then ack so the server knows this device is
@@ -289,13 +330,13 @@ impl DeviceMachine for SyncDeviceMachine {
             // update.
             Message::Restore { round, t_count, w_t } => {
                 self.solver.restore(w_t, t_count as usize);
-                DeviceStep::Send(Message::ClientUpdate {
+                return DeviceStep::Send(Message::ClientUpdate {
                     round,
                     user: self.user,
                     w_t: Vector::zeros(0),
                     v_t: Vector::zeros(0),
                     xi_t: 0.0,
-                })
+                });
             }
             // Devices never receive peer updates or async-protocol frames;
             // drop the stray frame rather than dying on a protocol hiccup.
@@ -305,9 +346,12 @@ impl DeviceMachine for SyncDeviceMachine {
             | Message::ShardBroadcast { .. }
             | Message::PartialSum { .. }
             | Message::ShardCommit { .. }
-            | Message::ShardResidual { .. } => DeviceStep::NeedRecv,
-            Message::Shutdown => DeviceStep::Done,
-        }
+            | Message::ShardResidual { .. } => return DeviceStep::NeedRecv,
+            Message::Shutdown => return DeviceStep::Done,
+        };
+        self.compute += start.elapsed();
+        let (w_t, v_t, xi_t) = update;
+        DeviceStep::Send(Message::ClientUpdate { round, user: self.user, w_t, v_t, xi_t })
     }
 
     fn finish(self, stats: TrafficStats) -> ClientOutcome {
@@ -315,11 +359,104 @@ impl DeviceMachine for SyncDeviceMachine {
     }
 }
 
+/// One accepted device reply: `(device, w_t, v_t, ξ_t)`.
+pub(crate) type Reply = (usize, Vector, Vector, f64);
+
+/// A gather's mode-specific policy for [`Fleet::poll`]: which devices are
+/// awaited, which frames count, when to re-send and when the round closes.
+/// The poll loop itself is mode-blind; the sync quorum gather and the async
+/// bounded-staleness collection are two implementations.
+pub(crate) trait Gather {
+    /// Whether device `t` still owes this round a reply.
+    fn awaiting(&self, t: usize) -> bool;
+    /// Whether the round closes at `now`, with `waiting` live devices
+    /// still awaited out of `alive`. An `Err` aborts the round.
+    fn closes(&mut self, now: Instant, waiting: usize, alive: usize) -> Result<bool, CoreError>;
+    /// The frame builder for a re-send to the awaited devices, when one is
+    /// due at `now`.
+    fn resend_due(&mut self, now: Instant) -> Option<&dyn Fn(usize) -> Message>;
+    /// The re-sends went out; the last one left at `at`.
+    fn resent(&mut self, at: Instant);
+    /// Handles one frame received from device `t`.
+    fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message);
+}
+
+/// The sync quorum gather: collects `ClientUpdate`s for one round under
+/// the retry policy (initial window, bounded re-broadcasts with
+/// exponential backoff, hard round deadline).
+struct QuorumGather<'g> {
+    round: u32,
+    ft: FaultTolerance,
+    rebroadcast: &'g dyn Fn(usize) -> Message,
+    accepted: Vec<Reply>,
+    replied: Vec<bool>,
+    retries: u32,
+    first_window: Instant,
+    deadline: Instant,
+    window_ends: Instant,
+    backoff: Duration,
+}
+
+impl Gather for QuorumGather<'_> {
+    fn awaiting(&self, t: usize) -> bool {
+        !self.replied.get(t).copied().unwrap_or(true)
+    }
+
+    fn closes(&mut self, now: Instant, waiting: usize, alive: usize) -> Result<bool, CoreError> {
+        let required = self.ft.required_replies(alive);
+        Ok(waiting == 0
+            || now >= self.deadline
+            || (self.accepted.len() >= required && now >= self.first_window))
+    }
+
+    fn resend_due(&mut self, now: Instant) -> Option<&dyn Fn(usize) -> Message> {
+        if now < self.window_ends || self.retries >= self.ft.retry.max_retries {
+            return None;
+        }
+        self.retries += 1;
+        Some(self.rebroadcast)
+    }
+
+    fn resent(&mut self, at: Instant) {
+        self.window_ends = at + self.backoff;
+        // Geometric growth, clamped to the time left before the round
+        // deadline: `Duration::mul_f64` panics on overflow for aggressive
+        // factor/retry combinations, and a backoff longer than the
+        // remaining deadline is indistinguishable from the deadline itself.
+        let remaining = self.deadline.saturating_duration_since(at);
+        self.backoff =
+            Duration::try_from_secs_f64(self.backoff.as_secs_f64() * self.ft.retry.backoff_factor)
+                .map_or(remaining, |grown| grown.min(remaining));
+    }
+
+    fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message) {
+        match frame {
+            Message::ClientUpdate { round, user, w_t, v_t, xi_t } => {
+                if round != self.round || !self.awaiting(t) {
+                    // A late reply to a closed round, or a duplicate:
+                    // discard by tag, never merge.
+                    fleet.late_discards = fleet.late_discards.saturating_add(1);
+                } else if user as usize != fleet.id(t) {
+                    // An update attributed to the wrong device is a
+                    // counted, recoverable protocol error.
+                    fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
+                } else {
+                    if let Some(slot) = self.replied.get_mut(t) {
+                        *slot = true;
+                    }
+                    self.accepted.push((t, w_t, v_t, xi_t));
+                }
+            }
+            _ => fleet.protocol_errors = fleet.protocol_errors.saturating_add(1),
+        }
+    }
+}
+
 /// Server-side view of the device roster: the fault-wrapped links plus the
 /// liveness bookkeeping that drives quorum gathers, retries and eviction.
-/// Shared with the asynchronous server (`crate::asynchronous`), which uses
-/// the roster/link machinery but replaces the quorum gather with its own
-/// bounded-staleness collection loop.
+/// Shared by all three servers: the flat star and each regional aggregator
+/// gather through [`Fleet::gather`], the asynchronous server polls with its
+/// own bounded-staleness [`Gather`] policy.
 pub(crate) struct Fleet<'a> {
     pub(crate) links: Vec<FaultyEndpoint<'a>>,
     pub(crate) alive: Vec<bool>,
@@ -333,6 +470,10 @@ pub(crate) struct Fleet<'a> {
     /// Set when an eviction changed the cohort size and the survivors have
     /// not been told yet.
     roster_dirty: bool,
+    /// Whether this fleet announces its own cohort size. A regional
+    /// sub-fleet does not: its devices' `T` is the global cohort, which the
+    /// root announces down the tree.
+    announces: bool,
     /// Global device id carried on each link: identity for the flat star,
     /// the shard's global indices for a regional aggregator's sub-fleet
     /// (`crate::sharded`). Replies are attributed by this id, and eviction
@@ -342,9 +483,8 @@ pub(crate) struct Fleet<'a> {
 
 impl<'a> Fleet<'a> {
     pub(crate) fn new(links: Vec<FaultyEndpoint<'a>>, ft: FaultTolerance) -> Self {
-        let n = links.len();
-        let ids = (0..n).collect();
-        Self::with_ids(links, ft, ids)
+        let ids = (0..links.len()).collect();
+        Fleet { announces: true, ..Self::with_ids(links, ft, ids) }
     }
 
     /// A sub-fleet whose link `i` talks to global device `ids[i]` — the
@@ -366,6 +506,7 @@ impl<'a> Fleet<'a> {
             protocol_errors: 0,
             late_discards: 0,
             roster_dirty: false,
+            announces: false,
             ids,
         }
     }
@@ -378,6 +519,11 @@ impl<'a> Fleet<'a> {
         self.alive.iter().filter(|a| **a).count()
     }
 
+    /// Global device id of link `t`.
+    pub(crate) fn id(&self, t: usize) -> usize {
+        self.ids.get(t).copied().unwrap_or(t)
+    }
+
     /// Removes a device from the roster permanently.
     pub(crate) fn evict(&mut self, t: usize) {
         let newly_evicted = match self.alive.get_mut(t) {
@@ -388,7 +534,7 @@ impl<'a> Fleet<'a> {
             _ => false,
         };
         if newly_evicted {
-            let global = self.ids.get(t).copied().unwrap_or(t);
+            let global = self.id(t);
             self.evicted.push(global);
             self.roster_dirty = true;
             plos_obs::emit(
@@ -426,7 +572,7 @@ impl<'a> Fleet<'a> {
     /// If evictions changed the cohort size, tells the survivors the new
     /// `T` so they rescale `κ = λ/T` (and the `Σ_k γ_kt ≤ T/2λ` dual cap).
     pub(crate) fn publish_roster(&mut self) {
-        while self.roster_dirty {
+        while self.announces && self.roster_dirty {
             self.roster_dirty = false;
             let t_count = wire_u32(self.alive_count());
             // Publishing can itself reveal dead links, re-dirtying the
@@ -445,13 +591,30 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Best-effort shutdown of one device regardless of roster state. Used
-    /// on resume: a device evicted before the checkpoint still has a fresh
-    /// thread waiting in this process, and it must be told to exit.
-    pub(crate) fn shutdown_device(&mut self, t: usize) {
-        if let Some(link) = self.links.get_mut(t) {
-            let _ = link.send(&Message::Shutdown);
+    /// Checkpoint resume handshake, first half: tells the fresh threads of
+    /// devices the interrupted run already evicted to exit (or the join at
+    /// the end of the run would hang on them), then sends every survivor
+    /// its CCCP anchor and the checkpointed cohort size. Returns the
+    /// `Restore` builder for the acknowledging gather's re-sends.
+    pub(crate) fn send_restore(
+        &mut self,
+        round: u32,
+        anchors: Vec<Vector>,
+        dim: usize,
+    ) -> impl Fn(usize) -> Message {
+        for (link, &alive) in self.links.iter_mut().zip(&self.alive) {
+            if !alive {
+                let _ = link.send(&Message::Shutdown);
+            }
         }
+        let t_count = wire_u32(self.alive_count());
+        let restore = move |t: usize| Message::Restore {
+            round,
+            t_count,
+            w_t: anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+        };
+        self.send_alive(&restore);
+        restore
     }
 
     /// Adopts the roster a checkpoint recorded: liveness flags, strike
@@ -498,8 +661,59 @@ impl<'a> Fleet<'a> {
         )
     }
 
-    /// One quorum gather: collects `ClientUpdate`s for `round` into `sink`
-    /// under the retry policy. The round closes when the whole live roster
+    /// The one device poll loop: sweeps the live devices `gather` still
+    /// awaits, polling each link once per sweep, until `gather` closes the
+    /// round. Re-sends go out when `gather` says they are due; a
+    /// `Disconnected` link is evicted, timeouts and corrupted frames are
+    /// ignored (the re-send or re-assignment path recovers them), and every
+    /// received frame goes to `gather`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Transport`] when every device disconnected, or whatever
+    /// `gather` returns from [`Gather::closes`].
+    pub(crate) fn poll(&mut self, round: u32, gather: &mut dyn Gather) -> Result<(), CoreError> {
+        loop {
+            let alive = self.alive_count();
+            if alive == 0 {
+                return Err(CoreError::Transport {
+                    detail: format!("every device disconnected before round {round} closed"),
+                });
+            }
+            let waiting: Vec<usize> =
+                (0..self.links.len()).filter(|&t| self.is_alive(t) && gather.awaiting(t)).collect();
+            // D2 audit: these clocks gate only the retry/deadline/quiescence
+            // machinery — replies are matched by their round or epoch tags,
+            // so which instant a reply arrived at never reaches model
+            // state. Asserted by tests/clock_independence.rs.
+            // plos-lint: allow(D2): retry-window/deadline timeout plumbing only
+            let now = Instant::now();
+            if gather.closes(now, waiting.len(), alive)? {
+                return Ok(());
+            }
+            if let Some(resend) = gather.resend_due(now) {
+                for &t in &waiting {
+                    self.send_to(t, &resend(t));
+                }
+                // plos-lint: allow(D2): re-send window plumbing only
+                gather.resent(Instant::now());
+            }
+            for &t in &waiting {
+                if !self.is_alive(t) {
+                    continue;
+                }
+                let Some(link) = self.links.get_mut(t) else { continue };
+                match link.recv_timeout(POLL_SLICE) {
+                    Ok(frame) => gather.on_frame(self, t, frame),
+                    Err(TransportError::Timeout | TransportError::Codec(_)) => {}
+                    Err(TransportError::Disconnected) => self.evict(t),
+                }
+            }
+        }
+    }
+
+    /// One quorum gather: collects the `ClientUpdate`s for `round` under
+    /// the retry policy and returns the accepted ones. The round closes when the whole live roster
     /// replied, or the quorum is met after the initial window, or the round
     /// deadline expires. Devices that stay silent accumulate a strike and
     /// are evicted after `evict_after` consecutive misses.
@@ -520,95 +734,29 @@ impl<'a> Fleet<'a> {
         round: u32,
         record: bool,
         rebroadcast: &dyn Fn(usize) -> Message,
-        sink: &mut dyn FnMut(usize, Vector, Vector, f64),
-    ) -> Result<(), CoreError> {
-        let t_count = self.links.len();
-        let mut replied = vec![false; t_count];
-        let mut replies = 0usize;
-        // D2 audit: these clocks gate only the retry/deadline machinery —
-        // replies are matched by round tag, late ones discarded, so which
-        // wall-clock instant a reply arrived at never reaches model state.
-        // Asserted clock-independent by tests/clock_independence.rs.
+    ) -> Result<Vec<Reply>, CoreError> {
+        if self.links.is_empty() {
+            // An empty shard has nothing to gather.
+            return Ok(Vec::new());
+        }
+        let retry: &RetryPolicy = &self.ft.retry;
         // plos-lint: allow(D2): retry-window/deadline timeout plumbing only
         let started = Instant::now();
-        let first_window = started + self.ft.retry.recv_timeout;
-        let deadline = started + self.ft.retry.round_deadline;
-        let mut window_ends = first_window;
-        let mut backoff = self.ft.retry.backoff_base;
-        let mut retries = 0u32;
-
-        loop {
-            let alive = self.alive_count();
-            if alive == 0 {
-                return Err(CoreError::Transport {
-                    detail: format!("every device disconnected before round {round} closed"),
-                });
-            }
-            let required = self.ft.required_replies(alive);
-            let outstanding: Vec<usize> = (0..t_count)
-                .filter(|&t| self.is_alive(t) && !replied.get(t).copied().unwrap_or(true))
-                .collect();
-            // plos-lint: allow(D2): retry-window/deadline timeout plumbing only
-            let now = Instant::now();
-            if outstanding.is_empty()
-                || now >= deadline
-                || (replies >= required && now >= first_window)
-            {
-                break;
-            }
-            if now >= window_ends && retries < self.ft.retry.max_retries {
-                retries += 1;
-                for &t in &outstanding {
-                    let message = rebroadcast(t);
-                    self.send_to(t, &message);
-                }
-                // plos-lint: allow(D2): backoff window for re-broadcasts only
-                let retry_now = Instant::now();
-                window_ends = retry_now + backoff;
-                // Geometric growth, clamped to the time left before the round
-                // deadline: `Duration::mul_f64` panics on overflow for
-                // aggressive factor/retry combinations, and a backoff longer
-                // than the remaining deadline is indistinguishable from the
-                // deadline itself.
-                let remaining = deadline.saturating_duration_since(retry_now);
-                backoff = Duration::try_from_secs_f64(
-                    backoff.as_secs_f64() * self.ft.retry.backoff_factor,
-                )
-                .map_or(remaining, |grown| grown.min(remaining));
-            }
-            for &t in &outstanding {
-                if !self.is_alive(t) {
-                    continue;
-                }
-                let Some(link) = self.links.get_mut(t) else { continue };
-                let received = link.recv_timeout(POLL_SLICE);
-                match received {
-                    Ok(Message::ClientUpdate { round: r, user, w_t, v_t, xi_t }) => {
-                        if r != round || replied.get(t).copied().unwrap_or(false) {
-                            // A late reply to a closed round, or a duplicate:
-                            // discard by tag, never merge.
-                            self.late_discards = self.late_discards.saturating_add(1);
-                        } else if user as usize != self.ids.get(t).copied().unwrap_or(t) {
-                            // An update attributed to the wrong device used
-                            // to be a hard assert; now it is a counted,
-                            // recoverable protocol error.
-                            self.protocol_errors = self.protocol_errors.saturating_add(1);
-                        } else {
-                            if let Some(slot) = replied.get_mut(t) {
-                                *slot = true;
-                            }
-                            replies += 1;
-                            sink(t, w_t, v_t, xi_t);
-                        }
-                    }
-                    Ok(_) => self.protocol_errors = self.protocol_errors.saturating_add(1),
-                    // A corrupted frame surfaced as a codec error; the retry
-                    // layer re-broadcasts, the device recomputes.
-                    Err(TransportError::Timeout | TransportError::Codec(_)) => {}
-                    Err(TransportError::Disconnected) => self.evict(t),
-                }
-            }
-        }
+        let mut quorum = QuorumGather {
+            round,
+            ft: self.ft.clone(),
+            rebroadcast,
+            accepted: Vec::new(),
+            replied: vec![false; self.links.len()],
+            retries: 0,
+            first_window: started + retry.recv_timeout,
+            deadline: started + retry.round_deadline,
+            window_ends: started + retry.recv_timeout,
+            backoff: retry.backoff_base,
+        };
+        self.poll(round, &mut quorum)?;
+        let QuorumGather { accepted, replied, retries, .. } = quorum;
+        let replies = accepted.len();
 
         let alive = self.alive_count();
         if record {
@@ -622,7 +770,7 @@ impl<'a> Fleet<'a> {
             });
         }
         if !record {
-            return Ok(());
+            return Ok(accepted);
         }
         // Strike accounting: a reply clears the count, a miss adds one, and
         // `evict_after` consecutive misses remove the device for good.
@@ -644,34 +792,203 @@ impl<'a> Fleet<'a> {
         for t in to_evict {
             self.evict(t);
         }
-        Ok(())
+        Ok(accepted)
     }
 }
 
-/// Shape checks a decoded distributed checkpoint against this run: the
-/// section digests already guarantee byte integrity and the fingerprint ties
-/// it to the cohort/config, so this guards the residual structural
-/// degrees of freedom (vector lengths) before any arithmetic touches them.
-fn validate_distributed_state(
-    state: &DistributedState,
-    t_count: usize,
-    dim: usize,
-) -> Result<(), CoreError> {
-    let mut ok = state.us.len() == t_count && state.w0.len() == dim;
-    for group in [&state.us, &state.w_ts, &state.v_ts, &state.anchors] {
-        ok &= group.iter().all(|v| v.len() == dim);
+/// One logged ADMM broadcast, addressed to device `t`.
+fn broadcast(rec: &BroadcastRecord, t: usize) -> Message {
+    Message::Broadcast {
+        round: rec.round,
+        w0: rec.w0.clone(),
+        u_t: rec.us.get(t).cloned().unwrap_or_else(|| Vector::zeros(rec.w0.len())),
     }
-    for rec in &state.log {
-        ok &= rec.w0.len() == dim && rec.us.iter().all(|v| v.len() == dim);
+}
+
+/// A star: a server that gathers its devices directly and holds their
+/// consensus slots. The flat topology is one star over the whole fleet;
+/// each regional aggregator of the tree is one over its shard. When a
+/// checkpoint session is set it snapshots after every ADMM iteration and
+/// refinement round, and resumes from a snapshot with bit-parity
+/// (fault-free runs).
+pub(crate) struct Star<'a> {
+    pub(crate) fleet: Fleet<'a>,
+    pub(crate) slots: Slots,
+    session: Option<CkptSession>,
+    fingerprint: u64,
+    resume: Option<DistributedState>,
+    /// Each device's CCCP anchor: its `w_t` at the start of the current
+    /// CCCP round (what its linearization signs derive from).
+    anchors: Vec<Vector>,
+    /// The current CCCP round's broadcasts, for a resumed server to replay.
+    log: Vec<BroadcastRecord>,
+    /// Slot-fold time.
+    pub(crate) compute: Duration,
+}
+
+impl<'a> Star<'a> {
+    /// A star over `fleet` with no checkpoint session.
+    pub(crate) fn new(fleet: Fleet<'a>, dim: usize) -> Self {
+        let n = fleet.links.len();
+        Star {
+            fleet,
+            slots: Slots::new(n, dim),
+            session: None,
+            fingerprint: 0,
+            resume: None,
+            // CCCP round 0 anchors: devices linearize off the incoming w0
+            // while their own w_t is still zero, and `LocalSolver::restore`
+            // with a zero anchor reproduces exactly that state.
+            anchors: vec![Vector::zeros(dim); n],
+            log: Vec::new(),
+            compute: Duration::ZERO,
+        }
     }
-    if ok {
-        Ok(())
-    } else {
-        Err(CoreError::Ckpt(CkptError::Malformed {
-            detail: format!(
-                "checkpoint shape does not match this run (cohort {t_count}, dim {dim})"
-            ),
+}
+
+impl Aggregator for Star<'_> {
+    fn resume(&mut self) -> Result<Option<Consensus>, CoreError> {
+        let Some(st) = self.resume.take() else { return Ok(None) };
+        let dim = self.slots.dim;
+        self.fleet.restore_roster(&st);
+        // Reposition the survivors: each adopts its CCCP anchor and the
+        // checkpointed cohort size, then acks (unrecorded — the
+        // uninterrupted run never had these rounds).
+        let restore = self.fleet.send_restore(st.round, st.anchors.clone(), dim);
+        self.fleet.gather(st.round, false, &restore)?;
+        // Replay the interrupted CCCP round's broadcasts so each device
+        // rebuilds its working set bit for bit. Replies are discarded: the
+        // checkpointed server state is authoritative.
+        for rec in &st.log {
+            let scatter = |t: usize| broadcast(rec, t);
+            self.fleet.send_alive(&scatter);
+            self.fleet.gather(rec.round, false, &scatter)?;
+        }
+        self.slots = Slots { dim, w: st.w_ts, v: st.v_ts, xi: st.xi_ts, u: st.us };
+        self.anchors = st.anchors;
+        self.log = st.log;
+        Ok(Some(Consensus {
+            w0: st.w0,
+            history: History::from_values(st.history),
+            residuals: Consensus::residuals_from(&st.residuals),
+            admm_iterations: st.admm_iterations as usize,
+            cccp_rounds: st.cccp_rounds as usize,
+            converged: st.converged,
+            round: st.round,
+            cccp_round: st.cccp_round,
+            iters_done: st.iters_done,
+            inner_done: st.inner_done,
+            phase: st.phase,
+            server_compute: Duration::ZERO,
         }))
+    }
+
+    fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError> {
+        let round = st.round;
+        // Init and ADMM rounds scatter `(w0, u_t)` — both zero at init —
+        // and the same closure serves the retry re-broadcasts. The replay
+        // log records each ADMM broadcast so a resumed server can rebuild
+        // device state.
+        let us = if phase == PHASE_ADMM { self.slots.u.clone() } else { Vec::new() };
+        let rec = BroadcastRecord { round, w0: st.w0.clone(), us };
+        let request = |t: usize| match phase {
+            PHASE_REFINE => Message::Refine { round, w0: rec.w0.clone() },
+            _ => broadcast(&rec, t),
+        };
+        self.fleet.send_alive(&request);
+        let replies = self.fleet.gather(round, true, &request)?;
+        self.fleet.publish_roster();
+        if phase == PHASE_ADMM && self.session.is_some() {
+            self.log.push(rec);
+        }
+        // plos-lint: allow(D2): server compute-time metering only
+        let t0 = Instant::now();
+        let (sum, contributors) = if phase == PHASE_INIT {
+            consensus::init_sum(replies.iter().map(|(_, w_t, ..)| w_t), self.slots.dim)
+        } else {
+            // A straggler's slot keeps its previous (w_t, v_t, ξ_t) — the
+            // carry-forward state.
+            for (t, w, v, xi) in replies {
+                self.slots.store(t, w, v, xi);
+            }
+            let live = &self.fleet.alive;
+            let sum = if phase == PHASE_ADMM {
+                self.slots.admm_sum(live)
+            } else {
+                self.slots.refine_sum(live)
+            };
+            (sum, 0)
+        };
+        self.compute += t0.elapsed();
+        Ok(Gathered { sum, contributors, cohort: self.fleet.alive_count() })
+    }
+
+    fn commit(&mut self, _round: u32, phase: u8, w0: &Vector) -> Result<[ExactSum; 2], CoreError> {
+        // plos-lint: allow(D2): server compute-time metering only
+        let t0 = Instant::now();
+        let partials = if phase == PHASE_REFINE {
+            let (dist, xi) = self.slots.refine_sums(w0, &self.fleet.alive);
+            [dist, xi]
+        } else {
+            [self.slots.u_update(w0, &self.fleet.alive), ExactSum::new()]
+        };
+        self.compute += t0.elapsed();
+        Ok(partials)
+    }
+
+    fn objective(&mut self) -> (ExactSum, ExactSum, usize) {
+        let (v_sq, xi) = self.slots.objective_sums(&self.fleet.alive);
+        (v_sq, xi, self.fleet.alive_count())
+    }
+
+    fn advance_cccp(&mut self, cccp_round: usize) -> Result<(), CoreError> {
+        let cccp_round = wire_u32(cccp_round);
+        self.fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round });
+        self.fleet.publish_roster();
+        // New linearization: devices re-anchor at their own w_t. Record the
+        // anchors and start a fresh replay log.
+        self.anchors = self.slots.w.clone();
+        self.log.clear();
+        Ok(())
+    }
+
+    fn participation(&self) -> Option<RoundParticipation> {
+        self.fleet.participation.last().copied()
+    }
+
+    fn checkpoint(&mut self, st: &Consensus) -> Result<(), CoreError> {
+        let Some(sess) = self.session.as_mut() else { return Ok(()) };
+        // Refinement anchors each device at its own last w_t, so that is
+        // what a resumed server must hand back; it replays no broadcasts.
+        let refining = matches!(st.phase, DistributedPhase::Refine { .. });
+        let (alive, missed, evicted, participation) = self.fleet.export_roster();
+        let snapshot = DistributedState {
+            fingerprint: self.fingerprint,
+            phase: st.phase,
+            round: st.round,
+            cccp_round: st.cccp_round,
+            iters_done: if refining { 0 } else { st.iters_done },
+            inner_done: st.inner_done,
+            admm_iterations: st.admm_iterations as u64,
+            cccp_rounds: wire_u32(st.cccp_rounds),
+            converged: st.converged,
+            w0: st.w0.clone(),
+            us: self.slots.u.clone(),
+            w_ts: self.slots.w.clone(),
+            v_ts: self.slots.v.clone(),
+            xi_ts: self.slots.xi.clone(),
+            anchors: if refining { self.slots.w.clone() } else { self.anchors.clone() },
+            log: if refining { Vec::new() } else { self.log.clone() },
+            alive,
+            missed,
+            evicted,
+            participation,
+            protocol_errors: self.fleet.protocol_errors,
+            late_discards: self.fleet.late_discards,
+            history: st.history.values().to_vec(),
+            residuals: st.residual_records(),
+        };
+        sess.save(&snapshot.encode())
     }
 }
 
@@ -700,7 +1017,10 @@ impl DistributedPlos {
     /// device-local training data never reaches the checkpoint.
     ///
     /// Without an explicit policy the `PLOS_CKPT_DIR` environment variable is
-    /// consulted (see [`crate::checkpoint::CKPT_DIR_ENV`]).
+    /// consulted (see [`crate::checkpoint::CKPT_DIR_ENV`]). Checkpointing is
+    /// a flat-star feature: fitting a [`Topology::Sharded`] trainer with an
+    /// explicit policy fails with [`CoreError::InvalidConfig`] (the tree's
+    /// root is protected by replica failover instead).
     #[must_use]
     pub fn with_checkpointing(mut self, policy: CheckpointPolicy) -> Self {
         self.ckpt = Some(policy);
@@ -722,7 +1042,9 @@ impl DistributedPlos {
     /// two-level sharded tree with a replicated root
     /// ([`Topology::Sharded`], see [`crate::sharded`]). Fault-free training
     /// output is bit-identical at any shard count — the shard-parity gate
-    /// proves it against the flat path.
+    /// proves it against the flat path. The tree takes no checkpoints: a
+    /// sharded fit with an explicit [`DistributedPlos::with_checkpointing`]
+    /// policy fails with [`CoreError::InvalidConfig`].
     #[must_use]
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
@@ -769,627 +1091,90 @@ impl DistributedPlos {
     ///
     /// Returns [`CoreError::EmptyDataset`] when the dataset has no users,
     /// [`CoreError::Protocol`] for an invalid fault plan,
-    /// [`CoreError::Transport`] when the whole fleet disconnected, and
+    /// [`CoreError::InvalidConfig`] for a checkpoint policy on the sharded
+    /// tree, [`CoreError::Transport`] when the whole fleet disconnected, and
     /// [`CoreError::QuorumLost`] when a gather round ended with zero usable
     /// replies. Local solve failures on a device degrade that device to the
     /// consensus update instead of aborting the protocol.
-    // Allowed: the slot map is created with one entry per device index and
-    // the network runs each device closure exactly once per index, so the
-    // take-once expect cannot fail.
-    #[allow(clippy::expect_used)]
     pub fn fit_with_faults(
         &self,
         dataset: &MultiUserDataset,
         plan: &FaultPlan,
     ) -> Result<(PersonalizedModel, DistributedReport), CoreError> {
         if let Topology::Sharded(spec) = &self.topology {
+            if self.ckpt.is_some() {
+                return Err(CoreError::InvalidConfig {
+                    detail: "checkpointing is not supported on the sharded tree; \
+                             its root is protected by replica failover"
+                        .to_string(),
+                });
+            }
             return crate::sharded::fit_sharded(self, dataset, plan, spec);
         }
         let _span = plos_obs::Span::enter("distributed_fit");
         // plos-lint: allow(D2): wall_clock field of the report only
         let started = Instant::now();
-        plan.validate().map_err(|detail| CoreError::Protocol {
-            detail: format!("invalid fault plan: {detail}"),
-        })?;
-        let prepared = problem::prepare(dataset, self.config.bias);
-        let t_count = prepared.users.len();
-        if t_count == 0 {
-            return Err(CoreError::EmptyDataset);
-        }
-        let dim = prepared.dim;
-
-        // Checkpointing: explicit policy first, PLOS_CKPT_DIR fallback. The
-        // snapshot is server-side state only; a structural fingerprint ties
-        // it to this cohort shape and configuration.
-        let policy = self.ckpt.clone().or_else(CheckpointPolicy::from_env);
+        let cohort = Cohort::prepare(dataset, plan, &self.config)?;
+        let (t_count, dim) = (cohort.t_count, cohort.dim);
+        // The snapshot is server-side state only; a structural fingerprint
+        // ties it to this cohort shape and configuration.
         let fingerprint = checkpoint::run_fingerprint(KIND_DISTRIBUTED, t_count, dim, &self.config);
-        let mut session = policy.as_ref().map(|p| p.session("distributed"));
-        let resume = match &session {
-            Some(sess) => match sess.load()? {
-                Some(file) => {
-                    let state = DistributedState::decode(&file).map_err(CoreError::Ckpt)?;
-                    checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
-                    validate_distributed_state(&state, t_count, dim)?;
-                    plos_obs::emit(
-                        "checkpoint_resume",
-                        &[
-                            ("trainer", "distributed".to_string().into()),
-                            ("round", state.round.into()),
-                            ("cccp_round", state.cccp_round.into()),
-                            ("admm_iterations", state.admm_iterations.into()),
-                        ],
-                    );
-                    Some(Box::new(state))
-                }
-                None => None,
-            },
-            None => None,
-        };
+        let (session, resume) =
+            consensus::open_checkpoint(self.ckpt.as_ref(), "distributed", |file| {
+                let state = DistributedState::decode(file).map_err(CoreError::Ckpt)?;
+                checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
+                let slots = [&state.us, &state.w_ts, &state.v_ts, &state.anchors];
+                let logged = state.log.iter().flat_map(|r| std::iter::once(&r.w0).chain(&r.us));
+                let vectors = slots.into_iter().flatten().chain(logged);
+                let vectors = std::iter::once(&state.w0).chain(vectors);
+                consensus::check_shape(state.us.len() == t_count, vectors, t_count, dim)?;
+                plos_obs::emit(
+                    "checkpoint_resume",
+                    &[
+                        ("trainer", "distributed".to_string().into()),
+                        ("round", state.round.into()),
+                        ("cccp_round", state.cccp_round.into()),
+                        ("admm_iterations", state.admm_iterations.into()),
+                    ],
+                );
+                Ok(state)
+            })?;
 
-        // Hand each device thread its own data through a take-once slot map
-        // (the closure is shared across threads).
-        let slots: Mutex<Vec<Option<LocalSolver>>> = Mutex::new(
-            prepared
-                .users
-                .iter()
-                .enumerate()
-                .map(|(t, u)| {
-                    // Salt each device's seed so refinement restarts differ
-                    // across users.
-                    let mut cfg = self.config.clone();
-                    cfg.seed = cfg.seed.wrapping_add(t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    Some(LocalSolver::new(u.clone(), cfg, t_count))
-                })
-                .collect(),
-        );
-
-        let network =
-            try_star(t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
-        let session_ref = &mut session;
-        let (server_out, exits) = network.run_devices(
+        let (server_out, exits) = cohort.run(
+            &self.config,
             self.runtime,
-            |server_ends| {
-                self.server_loop(server_ends, dim, t_count, plan, fingerprint, resume, session_ref)
+            |ends| {
+                let fleet = Fleet::new(plan.wrap_links(ends), self.fault_tolerance.clone());
+                let mut star = Star { session, fingerprint, resume, ..Star::new(fleet, dim) };
+                let st = consensus::run_schedule(&self.config, &mut star, dim)?;
+                star.fleet.shutdown();
+                // The run completed: drop the snapshot so the next run starts
+                // fresh instead of resuming a finished trajectory.
+                if let Some(sess) = &star.session {
+                    sess.clear()?;
+                }
+                let fleet = star.fleet;
+                let model = consensus::assemble_model(
+                    st.w0.clone(),
+                    &star.slots.w,
+                    &fleet.alive,
+                    self.config.bias,
+                );
+                let server_compute = st.server_compute + star.compute;
+                let report = DistributedReport::from_server(
+                    st,
+                    server_compute,
+                    fleet.evicted,
+                    fleet.participation,
+                    fleet.protocol_errors,
+                    fleet.late_discards,
+                );
+                Ok::<_, CoreError>((model, report))
             },
-            |t| {
-                let solver = slots.lock().get_mut(t).and_then(Option::take);
-                let solver = solver.expect("each device slot is taken exactly once");
-                SyncDeviceMachine {
-                    user: wire_u32(t),
-                    solver,
-                    compute: Duration::ZERO,
-                    panic_at: plan.panic_round(t),
-                }
-            },
-        );
-
-        let (model, mut report) = server_out?;
-        let mut traffic = Vec::with_capacity(t_count);
-        let mut computes = Vec::with_capacity(t_count);
-        let mut panicked = Vec::new();
-        for (t, exit) in exits.into_iter().enumerate() {
-            match exit {
-                ClientExit::Finished(out) => {
-                    traffic.push(out.stats);
-                    computes.push(out.compute);
-                }
-                // A crashed device left no outcome: its slots stay at their
-                // defaults and the crash is a counted protocol error, not a
-                // process abort — the server already evicted the dead link.
-                ClientExit::Panicked(_) => {
-                    traffic.push(TrafficStats::default());
-                    computes.push(Duration::ZERO);
-                    panicked.push(t);
-                }
-            }
-        }
-        report.per_user_traffic = traffic;
-        report.per_user_compute = computes;
-        if !panicked.is_empty() {
-            report.protocol_errors = report.protocol_errors.saturating_add(panicked.len() as u64);
-            report.degraded = true;
-        }
-        report.panicked = panicked;
-        report.wall_clock = started.elapsed();
-        if plos_obs::enabled() {
-            // One summary event unifying the client-side traffic counters
-            // with the fault-tolerance counters of this run.
-            let total = report
-                .per_user_traffic
-                .iter()
-                .fold(TrafficStats::default(), |acc, s| acc.merged(s));
-            plos_obs::emit(
-                "traffic_summary",
-                &[
-                    ("bytes_sent", total.bytes_sent.into()),
-                    ("bytes_received", total.bytes_received.into()),
-                    ("bytes_discarded", total.bytes_discarded.into()),
-                    ("messages_sent", total.messages_sent.into()),
-                    ("messages_received", total.messages_received.into()),
-                    ("decode_failures", total.decode_failures.into()),
-                    ("protocol_errors", report.protocol_errors.into()),
-                    ("late_discards", report.late_discards.into()),
-                    ("evicted", report.evicted.len().into()),
-                    ("participation_rate", report.participation_rate().into()),
-                ],
-            );
-        }
-        Ok((model, report))
-    }
-
-    /// The server thread: initialization (or checkpoint resume), CCCP × ADMM
-    /// driving, shutdown. Every gather is a quorum round under the retry
-    /// policy; every `T`-dependent scalar of Eq. (23)/(24) tracks the live
-    /// cohort size. When `session` is set the consensus state is snapshotted
-    /// after every ADMM iteration and refinement round.
-    // Allowed: the resume/checkpoint plumbing genuinely needs the run
-    // coordinates threaded through, and splitting the protocol driver would
-    // scatter the round/phase invariants across functions.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn server_loop(
-        &self,
-        ends: &[Endpoint],
-        dim: usize,
-        t_count: usize,
-        plan: &FaultPlan,
-        fingerprint: u64,
-        resume: Option<Box<DistributedState>>,
-        session: &mut Option<CkptSession>,
-    ) -> Result<(PersonalizedModel, DistributedReport), CoreError> {
-        let mut fleet = Fleet::new(plan.wrap_links(ends), self.fault_tolerance.clone());
-        let mut server_compute = Duration::ZERO;
-        let rho = self.config.rho;
-
-        // Consensus state plus loop re-entry coordinates: either a fresh
-        // initialization round, or everything restored from the snapshot.
-        let mut w0;
-        let mut us;
-        let mut w_ts;
-        let mut v_ts;
-        let mut xi_ts;
-        let mut anchors;
-        let mut log: Vec<BroadcastRecord>;
-        let mut history;
-        let mut admm_iterations;
-        let mut round;
-        let mut converged;
-        let mut cccp_rounds;
-        let mut residuals: Vec<AdmmResiduals>;
-        let start_cccp: usize;
-        let resumed_iters: usize;
-        let mut resumed_inner_done = false;
-        let mut resumed_mid_cccp = false;
-        let refine_start: u32;
-
-        if let Some(state) = resume {
-            let st = *state;
-            fleet.restore_roster(&st);
-            // A fresh thread exists for every device, including ones the
-            // interrupted run already evicted; those must be told to exit or
-            // the join at the end of the run would hang on them.
-            for t in 0..t_count {
-                if !fleet.is_alive(t) {
-                    fleet.shutdown_device(t);
-                }
-            }
-            // Reposition the survivors: each adopts its CCCP anchor and the
-            // checkpointed cohort size, then acks (unrecorded — the
-            // uninterrupted run never had these rounds).
-            let cohort = wire_u32(fleet.alive_count());
-            let restore_round = st.round;
-            let restore_anchors = st.anchors.clone();
-            let restore = move |t: usize| Message::Restore {
-                round: restore_round,
-                t_count: cohort,
-                w_t: restore_anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-            };
-            fleet.send_alive(&restore);
-            fleet.gather(restore_round, false, &restore, &mut |_t, _w, _v, _xi| {})?;
-            // Replay the interrupted CCCP round's broadcasts so each device
-            // rebuilds its working set bit for bit. Replies are discarded:
-            // the checkpointed server state is authoritative.
-            for rec in &st.log {
-                let rec_round = rec.round;
-                let rec_w0 = rec.w0.clone();
-                let rec_us = rec.us.clone();
-                let scatter = move |t: usize| Message::Broadcast {
-                    round: rec_round,
-                    w0: rec_w0.clone(),
-                    u_t: rec_us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                };
-                fleet.send_alive(&scatter);
-                fleet.gather(rec_round, false, &scatter, &mut |_t, _w, _v, _xi| {})?;
-            }
-
-            w0 = st.w0;
-            us = st.us;
-            w_ts = st.w_ts;
-            v_ts = st.v_ts;
-            xi_ts = st.xi_ts;
-            anchors = st.anchors;
-            log = st.log;
-            history = History::from_values(st.history);
-            admm_iterations = st.admm_iterations as usize;
-            round = st.round;
-            converged = st.converged;
-            cccp_rounds = st.cccp_rounds as usize;
-            residuals = st
-                .residuals
-                .iter()
-                .map(|&(r, primal, dual)| AdmmResiduals { round: r, primal, dual })
-                .collect();
-            match st.phase {
-                DistributedPhase::Admm => {
-                    start_cccp = st.cccp_round as usize;
-                    resumed_iters = st.iters_done as usize;
-                    resumed_inner_done = st.inner_done;
-                    resumed_mid_cccp = true;
-                    refine_start = 0;
-                }
-                DistributedPhase::Refine { rounds_done } => {
-                    // CCCP finished before the snapshot; skip straight back
-                    // into refinement.
-                    start_cccp = self.config.max_cccp_rounds;
-                    resumed_iters = 0;
-                    refine_start = rounds_done;
-                }
-            }
-        } else {
-            // ---- Initialization round: average provider hyperplanes. ----
-            let zero = Vector::zeros(dim);
-            let init =
-                |_t: usize| Message::Broadcast { round: 0, w0: zero.clone(), u_t: zero.clone() };
-            fleet.send_alive(&init);
-            let mut w_inits = vec![Vector::zeros(dim); t_count];
-            fleet.gather(0, true, &init, &mut |t, w_t, _v_t, _xi_t| {
-                if let Some(slot) = w_inits.get_mut(t) {
-                    *slot = w_t;
-                }
-            })?;
-            fleet.publish_roster();
-
-            // plos-lint: allow(D2): server compute-time metering only
-            let t0 = Instant::now();
-            // Exact (order-independent) fold so the sharded tree path can
-            // reproduce these bits from per-shard partial sums.
-            let mut w0_acc = ExactVecSum::zeros(dim);
-            let mut contributors = 0usize;
-            for w_init in &w_inits {
-                if w_init.norm() > 0.0 {
-                    w0_acc.add(w_init);
-                    contributors += 1;
-                }
-            }
-            if contributors > 0 {
-                w0 = w0_acc.value();
-                w0.scale_mut(1.0 / contributors as f64);
-            } else {
-                // No provider anywhere: deterministic random init, mirroring
-                // the centralized fallback.
-                let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-                w0 = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let n = w0.norm();
-                if n > 0.0 {
-                    w0.scale_mut(1.0 / n);
-                }
-            }
-            server_compute += t0.elapsed();
-
-            us = vec![Vector::zeros(dim); t_count];
-            w_ts = vec![Vector::zeros(dim); t_count];
-            v_ts = vec![Vector::zeros(dim); t_count];
-            xi_ts = vec![0.0f64; t_count];
-            // CCCP round 0 anchors: devices linearize off the incoming w0
-            // while their own w_t is still zero, and `LocalSolver::restore`
-            // with a zero anchor reproduces exactly that state.
-            anchors = vec![Vector::zeros(dim); t_count];
-            log = Vec::new();
-            history = History::new();
-            admm_iterations = 0usize;
-            round = 0u32;
-            converged = false;
-            cccp_rounds = 0usize;
-            residuals = Vec::new();
-            start_cccp = 0;
-            resumed_iters = 0;
-            refine_start = 0;
-        }
-
-        // ---- CCCP × ADMM ----
-        for cccp_round in start_cccp..self.config.max_cccp_rounds {
-            let resumed_round = resumed_mid_cccp && cccp_round == start_cccp;
-            if !resumed_round {
-                cccp_rounds += 1;
-                if cccp_round > 0 {
-                    fleet.send_alive(&|_t| Message::CccpAdvance {
-                        cccp_round: wire_u32(cccp_round),
-                    });
-                    fleet.publish_roster();
-                    // New linearization: devices re-anchor at their own w_t.
-                    // Record the anchors and start a fresh replay log.
-                    anchors = w_ts.clone();
-                    log.clear();
-                }
-            }
-            let iter_start = if resumed_round { resumed_iters } else { 0 };
-            let inner_done = resumed_round && resumed_inner_done;
-            for iter in iter_start..self.config.max_admm_iters {
-                if inner_done {
-                    // The snapshot was taken after the inner loop finished;
-                    // only the objective push below remains for this round.
-                    break;
-                }
-                round += 1;
-                admm_iterations += 1;
-                // Scatter; the same closure serves the retry re-broadcasts.
-                // The replay log records what went out so a resumed server
-                // can rebuild device state.
-                log.push(BroadcastRecord { round, w0: w0.clone(), us: us.clone() });
-                let scatter = |t: usize| Message::Broadcast {
-                    round,
-                    w0: w0.clone(),
-                    u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                };
-                fleet.send_alive(&scatter);
-                // Quorum gather; a straggler's slot keeps its previous
-                // (w_t, v_t, ξ_t) — the carry-forward state.
-                fleet.gather(round, true, &scatter, &mut |t, w_t, v_t, xi_t| {
-                    if let (Some(w), Some(v), Some(xi)) =
-                        (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                    {
-                        *w = w_t;
-                        *v = v_t;
-                        *xi = xi_t;
-                    }
-                })?;
-                fleet.publish_roster();
-
-                // Eq. (23): closed-form z- and u-updates over the live
-                // cohort; every T-dependent scalar uses the shrunk size.
-                // plos-lint: allow(D2): server compute-time metering only
-                let t0 = Instant::now();
-                let cohort = fleet.alive_count() as f64;
-                // Exact fold: any grouping of these addends (flat loop or
-                // per-shard partials merged at a root) yields the same bits.
-                let mut w0_acc = ExactVecSum::zeros(dim);
-                for (t, ((w_t, v_t), u_t)) in w_ts.iter().zip(&v_ts).zip(&us).enumerate() {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    w0_acc.add(w_t);
-                    w0_acc.sub(v_t);
-                    w0_acc.add(u_t);
-                }
-                let mut w0_new = w0_acc.value();
-                w0_new.scale_mut(rho / (2.0 + cohort * rho));
-                // Eq. (24): residuals.
-                let sqrt_2t = (2.0 * cohort).sqrt();
-                let sqrt_t = cohort.sqrt();
-                let dual_residual = rho * sqrt_2t * w0_new.distance(&w0);
-                let mut primal_acc = ExactSum::new();
-                for (t, (w_t, v_t)) in w_ts.iter().zip(&v_ts).enumerate() {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    let mut delta = w_t.clone();
-                    delta -= &w0_new;
-                    delta -= v_t;
-                    primal_acc.add(delta.norm_squared());
-                    if let Some(u_t) = us.get_mut(t) {
-                        *u_t += &delta;
-                    }
-                }
-                let primal_sq = primal_acc.value();
-                w0 = w0_new;
-                server_compute += t0.elapsed();
-
-                let primal_residual = primal_sq.sqrt();
-                residuals.push(AdmmResiduals {
-                    round,
-                    primal: primal_residual,
-                    dual: dual_residual,
-                });
-                if plos_obs::enabled() {
-                    let part = fleet.participation.last().copied();
-                    plos_obs::emit(
-                        "admm_round",
-                        &[
-                            ("round", round.into()),
-                            ("primal_residual", primal_residual.into()),
-                            ("dual_residual", dual_residual.into()),
-                            ("replied", part.map_or(0, |p| p.replied).into()),
-                            ("alive", part.map_or(0, |p| p.alive).into()),
-                            ("retries", part.map_or(0, |p| p.retries).into()),
-                        ],
-                    );
-                    plos_obs::counter_add("distributed.admm_rounds", 1);
-                }
-
-                let residuals_met = dual_residual <= sqrt_2t * self.config.eps_abs
-                    && primal_residual <= sqrt_t * self.config.eps_abs;
-                if let Some(sess) = session.as_mut() {
-                    let (alive, missed, evicted, participation) = fleet.export_roster();
-                    let snapshot = DistributedState {
-                        fingerprint,
-                        phase: DistributedPhase::Admm,
-                        round,
-                        cccp_round: wire_u32(cccp_round),
-                        iters_done: wire_u32(iter + 1),
-                        inner_done: residuals_met || iter + 1 == self.config.max_admm_iters,
-                        admm_iterations: admm_iterations as u64,
-                        cccp_rounds: wire_u32(cccp_rounds),
-                        converged,
-                        w0: w0.clone(),
-                        us: us.clone(),
-                        w_ts: w_ts.clone(),
-                        v_ts: v_ts.clone(),
-                        xi_ts: xi_ts.clone(),
-                        anchors: anchors.clone(),
-                        log: log.clone(),
-                        alive,
-                        missed,
-                        evicted,
-                        participation,
-                        protocol_errors: fleet.protocol_errors,
-                        late_discards: fleet.late_discards,
-                        history: history.values().to_vec(),
-                        residuals: residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect(),
-                    };
-                    sess.save(&snapshot.encode())?;
-                }
-                if residuals_met {
-                    break;
-                }
-            }
-
-            // Objective L (Eq. 23, third line), over the live cohort.
-            let kappa = self.config.lambda / fleet.alive_count() as f64;
-            let mut obj_v = ExactSum::new();
-            let mut obj_xi = ExactSum::new();
-            for (t, (v_t, xi_t)) in v_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                obj_v.add(v_t.norm_squared());
-                obj_xi.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * obj_v.value() + obj_xi.value();
-            history.push(objective);
-            plos_obs::emit(
-                "cccp_round",
-                &[("round", cccp_rounds.into()), ("objective", objective.into())],
-            );
-            if history.converged(self.config.cccp_tol) {
-                converged = true;
-                break;
-            }
-        }
-
-        // ---- Refinement: multi-start per-device re-solve + closed-form w0
-        // block updates (same messages, still only model parameters). ----
-        for refine_round in refine_start as usize..self.config.refine_rounds {
-            round += 1;
-            let refine = |_t: usize| Message::Refine { round, w0: w0.clone() };
-            fleet.send_alive(&refine);
-            fleet.gather(round, true, &refine, &mut |t, w_t, v_t, xi_t| {
-                if let (Some(w), Some(v), Some(xi)) =
-                    (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                {
-                    *w = w_t;
-                    *v = v_t;
-                    *xi = xi_t;
-                }
-            })?;
-            fleet.publish_roster();
-
-            // plos-lint: allow(D2): server compute-time metering only
-            let t0 = Instant::now();
-            let cohort = fleet.alive_count() as f64;
-            let mut mean_acc = ExactVecSum::zeros(dim);
-            for (t, w_t) in w_ts.iter().enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                mean_acc.add(w_t);
-            }
-            let mut mean = mean_acc.value();
-            mean.scale_mut(1.0 / cohort);
-            w0 = mean.scaled(self.config.lambda / (1.0 + self.config.lambda));
-            server_compute += t0.elapsed();
-            // xi_ts now carry true local losses, so this is the true
-            // objective in the problem-(3) scale.
-            let kappa = self.config.lambda / cohort;
-            let mut dist_acc = ExactSum::new();
-            let mut xi_acc = ExactSum::new();
-            for (t, (w_t, xi_t)) in w_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                dist_acc.add(w_t.distance_squared(&w0));
-                xi_acc.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * dist_acc.value() + xi_acc.value();
-            history.push(objective);
-            plos_obs::emit(
-                "refine_round",
-                &[("round", (refine_round + 1).into()), ("objective", objective.into())],
-            );
-            if let Some(sess) = session.as_mut() {
-                let (alive, missed, evicted, participation) = fleet.export_roster();
-                let snapshot = DistributedState {
-                    fingerprint,
-                    phase: DistributedPhase::Refine { rounds_done: wire_u32(refine_round + 1) },
-                    round,
-                    cccp_round: wire_u32(cccp_rounds.saturating_sub(1)),
-                    iters_done: 0,
-                    inner_done: true,
-                    admm_iterations: admm_iterations as u64,
-                    cccp_rounds: wire_u32(cccp_rounds),
-                    converged,
-                    w0: w0.clone(),
-                    us: us.clone(),
-                    // Refinement anchors each device at its own last w_t, so
-                    // that is what a resumed server must hand back.
-                    w_ts: w_ts.clone(),
-                    v_ts: v_ts.clone(),
-                    xi_ts: xi_ts.clone(),
-                    anchors: w_ts.clone(),
-                    log: Vec::new(),
-                    alive,
-                    missed,
-                    evicted,
-                    participation,
-                    protocol_errors: fleet.protocol_errors,
-                    late_discards: fleet.late_discards,
-                    history: history.values().to_vec(),
-                    residuals: residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect(),
-                };
-                sess.save(&snapshot.encode())?;
-            }
-        }
-
-        fleet.shutdown();
-        // The run completed: drop the snapshot so the next run starts fresh
-        // instead of resuming a finished trajectory.
-        if let Some(sess) = &*session {
-            sess.clear()?;
-        }
-
-        // Personalized hyperplanes are exactly the devices' final w_t. A
-        // device evicted before it ever reported one falls back to the
-        // global model (zero bias).
-        let biases: Vec<Vector> =
-            w_ts.iter()
-                .enumerate()
-                .map(|(t, w_t)| {
-                    if fleet.is_alive(t) || w_t.norm() > 0.0 {
-                        w_t - &w0
-                    } else {
-                        Vector::zeros(dim)
-                    }
-                })
-                .collect();
-        let degraded =
-            !fleet.evicted.is_empty() || fleet.participation.iter().any(|p| p.replied < p.alive);
-        let model = PersonalizedModel::new(w0, biases, self.config.bias);
-        let report = DistributedReport {
-            per_user_traffic: Vec::new(), // filled by fit()
-            admm_iterations,
-            cccp_rounds,
-            history,
-            converged,
-            per_user_compute: Vec::new(), // filled by fit()
-            server_compute,
-            wall_clock: Duration::ZERO, // filled by fit()
-            degraded,
-            evicted: fleet.evicted.clone(),
-            participation: fleet.participation.clone(),
-            protocol_errors: fleet.protocol_errors,
-            late_discards: fleet.late_discards,
-            residuals,
-            panicked: Vec::new(), // filled by fit()
-        };
-        Ok((model, report))
+            |t, solver| SyncDeviceMachine::new(t, solver, plan),
+        )?;
+        let (model, report) = server_out?;
+        Ok((model, finish_report(report, exits, started)))
     }
 }
 
@@ -1656,6 +1441,24 @@ mod tests {
             assert_eq!(model.num_users(), 4, "{runtime:?}: crashed devices still get a model");
             assert!(model.personalized_hyperplane(3).is_finite());
         }
+    }
+
+    #[test]
+    fn sharded_tree_rejects_checkpoint_policies() {
+        use crate::checkpoint::CheckpointPolicy;
+        use crate::sharded::ShardSpec;
+        let data = dataset(4, 2);
+        let dir = std::env::temp_dir().join(format!("plos-sharded-ckpt-{}", std::process::id()));
+        let result = DistributedPlos::try_new(PlosConfig::fast())
+            .unwrap()
+            .with_topology(Topology::Sharded(ShardSpec::new(2)))
+            .with_checkpointing(CheckpointPolicy::new(&dir))
+            .fit(&data);
+        assert!(
+            matches!(&result, Err(CoreError::InvalidConfig { detail }) if detail.contains("sharded")),
+            "a checkpoint policy on the tree must be refused, got {result:?}"
+        );
+        assert!(!dir.join("distributed.ckpt").exists());
     }
 
     #[test]

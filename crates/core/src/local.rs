@@ -56,7 +56,29 @@ pub struct LocalUpdate {
     pub xi_t: f64,
 }
 
+impl LocalUpdate {
+    /// The consensus update `(w0, 0, 0)`. A device whose local solve failed
+    /// sends it instead of poisoning the protocol: the server keeps driving
+    /// the other devices and this one rejoins next round.
+    fn consensus(w0: &Vector) -> Self {
+        LocalUpdate { w_t: w0.clone(), v_t: Vector::zeros(w0.len()), xi_t: 0.0 }
+    }
+}
+
 impl LocalSolver {
+    /// [`LocalSolver::solve`], degrading a failed solve to the consensus
+    /// update.
+    pub(crate) fn solve_or_consensus(&mut self, w0: &Vector, u_t: &Vector) -> LocalUpdate {
+        self.solve(w0, u_t).unwrap_or_else(|_| LocalUpdate::consensus(w0))
+    }
+
+    /// Refinement round `round` ([`LocalSolver::refine`] under the round's
+    /// seed), degrading a failed solve to the consensus update.
+    pub(crate) fn refine_or_consensus(&mut self, w0: &Vector, round: u32) -> LocalUpdate {
+        let seed = self.seed_for_round(round);
+        self.refine(w0, seed).unwrap_or_else(|_| LocalUpdate::consensus(w0))
+    }
+
     /// Creates the device solver. The config is pre-validated by the trainer
     /// that owns this solver (`try_new` on the trainer rejects bad configs),
     /// so construction itself only checks the cohort size.

@@ -7,7 +7,10 @@
 //! runs the same gather/retry/quorum machinery ([`Fleet`]) over its
 //! devices and pushes one `PartialSum` frame per round up to the root.
 //! The root folds the partials **in fixed shard order** and commits the
-//! consensus update back down the tree.
+//! consensus update back down the tree. The root is the tree's
+//! [`Aggregator`]: the same schedule (`crate::consensus::run_schedule`)
+//! drives it and the flat star, and each regional aggregator holds its
+//! shard's consensus [`Slots`].
 //!
 //! # Bit-parity with the flat path
 //!
@@ -31,31 +34,28 @@
 //! (idempotent re-reply), so the failed-over run commits bit-identical
 //! state. When every replica is dead the run fails with the typed
 //! [`CoreError::RootQuorumLost`].
+//!
+//! The tree takes no checkpoints: its root is protected by replica
+//! failover, and a sharded fit with an explicit checkpoint policy fails
+//! with [`CoreError::InvalidConfig`].
 
 use crate::checkpoint;
-use crate::config::{FaultTolerance, PlosConfig};
+use crate::config::FaultTolerance;
+use crate::consensus::{self, splitmix64, Aggregator, Cohort, Consensus, Gathered};
 use crate::distributed::{
-    DistributedPlos, DistributedReport, Fleet, RoundParticipation, SyncDeviceMachine, POLL_SLICE,
+    finish_report, DistributedPlos, DistributedReport, Fleet, RoundParticipation, Star,
+    SyncDeviceMachine, POLL_SLICE,
 };
 use crate::error::CoreError;
-use crate::local::LocalSolver;
 use crate::model::PersonalizedModel;
-use crate::problem;
 use crate::wire_u32;
-use crate::AdmmResiduals;
-use parking_lot::Mutex;
-use plos_ckpt::{
-    fnv1a, CheckpointFile, CkptError, DistributedPhase, RootState, ShardState, KIND_SHARDED,
-};
+use plos_ckpt::{fnv1a, CheckpointFile, CkptError, RootState, ShardState, KIND_SHARDED};
 use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
-    run_tree, ClientExit, Endpoint, FaultPlan, FaultyEndpoint, Message, ShardMap, TrafficStats,
-    TransportError,
+    run_tree, ClientExit, Endpoint, FaultPlan, FaultyEndpoint, Message, ShardMap, TransportError,
 };
-use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -131,35 +131,10 @@ struct RegionFinal {
     alive: Vec<bool>,
     /// Evicted devices (global ids), in eviction order.
     evicted: Vec<usize>,
-    /// Per-gather-round attendance of this shard.
-    participation: Vec<RoundParticipation>,
     protocol_errors: u64,
     late_discards: u64,
     /// Regional fold time (part of the run's server-side compute).
     compute: Duration,
-}
-
-/// What the root driver returns when the tree shuts down cleanly.
-struct RootFinal {
-    w0: Vector,
-    history: History,
-    admm_iterations: usize,
-    cccp_rounds: usize,
-    converged: bool,
-    residuals: Vec<AdmmResiduals>,
-    server_compute: Duration,
-    protocol_errors: u64,
-    late_discards: u64,
-}
-
-/// One decoded `PartialSum` frame, plus the digest recorded per shard in
-/// the root checkpoint.
-struct PartialFrame {
-    n: u32,
-    m: u32,
-    participation: u32,
-    sum_w: ExactVecSum,
-    digest: u64,
 }
 
 /// One root replica: a deterministic state slot holding the last
@@ -170,112 +145,10 @@ struct Replica {
     digest: u64,
 }
 
-/// splitmix64 — the seeded rank function of the leader election.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Mutable root-side consensus state — everything a failed-over leader
-/// adopts from the synced checkpoint.
-struct RootVars {
-    w0: Vector,
-    history: History,
-    residuals: Vec<AdmmResiduals>,
-    admm_iterations: usize,
-    cccp_rounds: usize,
-    converged: bool,
-    round: u32,
-    cccp_round: u32,
-    iters_done: u32,
-    inner_done: bool,
-    phase: DistributedPhase,
-    shards: Vec<ShardState>,
-}
-
-impl RootVars {
-    fn new(dim: usize, num_shards: usize) -> Self {
-        RootVars {
-            w0: Vector::zeros(dim),
-            history: History::new(),
-            residuals: Vec::new(),
-            admm_iterations: 0,
-            cccp_rounds: 0,
-            converged: false,
-            round: 0,
-            cccp_round: 0,
-            iters_done: 0,
-            inner_done: false,
-            phase: DistributedPhase::Admm,
-            shards: (0..num_shards)
-                .map(|s| ShardState {
-                    shard: wire_u32(s),
-                    n: 0,
-                    last_round: 0,
-                    partial_digest: 0,
-                    participation: 0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Start-of-round snapshot: this is both the anti-entropy payload and
-    /// the checkpoint a failed-over leader resumes from.
-    fn snapshot(&self, fingerprint: u64, shard_fingerprint: u64, term: u32) -> RootState {
-        RootState {
-            fingerprint,
-            shard_fingerprint,
-            term,
-            phase: self.phase,
-            round: self.round,
-            cccp_round: self.cccp_round,
-            iters_done: self.iters_done,
-            inner_done: self.inner_done,
-            admm_iterations: self.admm_iterations as u64,
-            cccp_rounds: wire_u32(self.cccp_rounds),
-            converged: self.converged,
-            w0: self.w0.clone(),
-            history: self.history.values().to_vec(),
-            residuals: self.residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect(),
-            shards: self.shards.clone(),
-        }
-    }
-
-    /// Adopts a decoded replica checkpoint after failover. The checkpoint
-    /// was synced at the start of the very round being replayed, so its
-    /// coordinates must match the in-flight round exactly.
-    fn adopt(&mut self, st: RootState) -> Result<(), CoreError> {
-        if st.round != self.round {
-            return Err(CoreError::Ckpt(CkptError::Malformed {
-                detail: format!(
-                    "replica checkpoint is for round {} but round {} is in flight",
-                    st.round, self.round
-                ),
-            }));
-        }
-        self.w0 = st.w0;
-        self.history = History::from_values(st.history);
-        self.residuals = st
-            .residuals
-            .iter()
-            .map(|&(r, primal, dual)| AdmmResiduals { round: r, primal, dual })
-            .collect();
-        self.admm_iterations = st.admm_iterations as usize;
-        self.cccp_rounds = st.cccp_rounds as usize;
-        self.converged = st.converged;
-        self.cccp_round = st.cccp_round;
-        self.iters_done = st.iters_done;
-        self.inner_done = st.inner_done;
-        self.phase = st.phase;
-        self.shards = st.shards;
-        Ok(())
-    }
-}
-
-/// The root driver: leader/replica bookkeeping plus the fault-wrapped
-/// links down to the regional aggregators.
+/// The root of the tree as the schedule's [`Aggregator`]: leader/replica
+/// bookkeeping plus the fault-wrapped links down to the regional
+/// aggregators. Every gather starts with anti-entropy and ends at the
+/// failover seam.
 struct RootDriver<'a> {
     links: Vec<FaultyEndpoint<'a>>,
     plan: &'a FaultPlan,
@@ -286,8 +159,16 @@ struct RootDriver<'a> {
     leader: usize,
     term: u32,
     kills_used: BTreeMap<u32, usize>,
+    /// Per-shard progress, mirrored into every replica snapshot.
+    shards: Vec<ShardState>,
+    /// Live cohort of the last gathered round.
+    cohort: usize,
     /// Cohort size the devices currently believe (for `RosterUpdate`s).
     announced: usize,
+    /// CCCP objective partials of the last ADMM commit.
+    objective: (ExactSum, ExactSum),
+    /// Per-round attendance, summed over the shards' partials.
+    participation: Vec<RoundParticipation>,
     protocol_errors: u64,
     late_discards: u64,
 }
@@ -300,7 +181,7 @@ impl<'a> RootDriver<'a> {
         t_count: usize,
         replicas: usize,
         fingerprint: u64,
-        shard_fingerprint: u64,
+        map: &ShardMap,
     ) -> Self {
         // Tree links get their own fault streams, keyed past the device
         // index space so device and tree faults never alias.
@@ -309,19 +190,32 @@ impl<'a> RootDriver<'a> {
             .enumerate()
             .map(|(s, end)| FaultyEndpoint::new(end, plan.link_faults(t_count + s)))
             .collect();
-        let replicas: Vec<Replica> =
-            (0..replicas).map(|_| Replica { alive: true, state: None, digest: 0 }).collect();
+        let shards = (0..map.num_shards())
+            .map(|s| ShardState {
+                shard: wire_u32(s),
+                n: 0,
+                last_round: 0,
+                partial_digest: 0,
+                participation: 0,
+            })
+            .collect();
         let mut driver = RootDriver {
             links,
             plan,
             seed,
             fingerprint,
-            shard_fingerprint,
-            replicas,
+            shard_fingerprint: map.fingerprint(),
+            replicas: (0..replicas)
+                .map(|_| Replica { alive: true, state: None, digest: 0 })
+                .collect(),
             leader: 0,
             term: 0,
             kills_used: BTreeMap::new(),
+            shards,
+            cohort: t_count,
             announced: t_count,
+            objective: (ExactSum::new(), ExactSum::new()),
+            participation: Vec::new(),
             protocol_errors: 0,
             late_discards: 0,
         };
@@ -361,15 +255,17 @@ impl<'a> RootDriver<'a> {
         Ok(())
     }
 
-    /// Receives one in-round reply from shard `s`, re-sending `request`
-    /// on prolonged silence; stale-round frames are discarded by tag.
+    /// Receives one in-round reply from shard `s` — the `PartialSum` a
+    /// `ShardBroadcast` asks for, or the `ShardResidual` a `ShardCommit`
+    /// asks for — re-sending `request` on prolonged silence; stale-round
+    /// frames are discarded by tag.
     fn collect_one(
         &mut self,
         s: usize,
         round: u32,
         request: &Message,
-        want_residual: bool,
     ) -> Result<Message, CoreError> {
+        let want_residual = matches!(request, Message::ShardCommit { .. });
         // plos-lint: allow(D2): tree retry-window/deadline plumbing only
         let started = Instant::now();
         let deadline = started + TREE_DEADLINE;
@@ -380,26 +276,20 @@ impl<'a> RootDriver<'a> {
             };
             match link.recv_timeout(POLL_SLICE * 25) {
                 Ok(msg) => {
-                    let matches = match &msg {
-                        Message::PartialSum { shard, round: r, .. } => {
-                            !want_residual && *shard as usize == s && *r == round
+                    let (residual, shard, r) = match &msg {
+                        Message::PartialSum { shard, round, .. } => (false, *shard, *round),
+                        Message::ShardResidual { shard, round, .. } => (true, *shard, *round),
+                        _ => {
+                            self.protocol_errors = self.protocol_errors.saturating_add(1);
+                            continue;
                         }
-                        Message::ShardResidual { shard, round: r, .. } => {
-                            want_residual && *shard as usize == s && *r == round
-                        }
-                        _ => false,
                     };
-                    if matches {
+                    if r != round {
+                        self.late_discards = self.late_discards.saturating_add(1);
+                    } else if residual == want_residual && shard as usize == s {
                         return Ok(msg);
-                    }
-                    match msg {
-                        Message::PartialSum { round: r, .. }
-                        | Message::ShardResidual { round: r, .. }
-                            if r != round =>
-                        {
-                            self.late_discards = self.late_discards.saturating_add(1);
-                        }
-                        _ => self.protocol_errors = self.protocol_errors.saturating_add(1),
+                    } else {
+                        self.protocol_errors = self.protocol_errors.saturating_add(1);
                     }
                 }
                 Err(TransportError::Timeout | TransportError::Codec(_)) => {
@@ -426,48 +316,37 @@ impl<'a> RootDriver<'a> {
         }
     }
 
-    /// Collects one `PartialSum` per shard, in fixed shard order.
-    fn collect_partials(
-        &mut self,
-        round: u32,
-        phase: u8,
-        w0: &Vector,
-    ) -> Result<Vec<PartialFrame>, CoreError> {
-        let mut frames = Vec::with_capacity(self.links.len());
-        for s in 0..self.links.len() {
-            let request = Message::ShardBroadcast { round, phase, w0: w0.clone() };
-            let msg = self.collect_one(s, round, &request, false)?;
-            let digest = fnv1a(&msg.encode());
-            if let Message::PartialSum { n, m, participation, sum_w, .. } = msg {
-                frames.push(PartialFrame { n, m, participation, sum_w, digest });
-            }
-        }
-        Ok(frames)
+    /// Collects one in-round reply per shard, in fixed shard order.
+    fn collect(&mut self, round: u32, request: &Message) -> Result<Vec<Message>, CoreError> {
+        (0..self.links.len()).map(|s| self.collect_one(s, round, request)).collect()
     }
 
-    /// Collects one `ShardResidual` per shard, in fixed shard order.
-    fn collect_residuals(
-        &mut self,
-        round: u32,
-        phase: u8,
-        w0: &Vector,
-    ) -> Result<Vec<(ExactSum, ExactSum, ExactSum)>, CoreError> {
-        let mut out = Vec::with_capacity(self.links.len());
-        for s in 0..self.links.len() {
-            let request = Message::ShardCommit { round, phase, w0: w0.clone() };
-            let msg = self.collect_one(s, round, &request, true)?;
-            if let Message::ShardResidual { a, b, c, .. } = msg {
-                out.push((*a, *b, *c));
-            }
+    /// Start-of-round state snapshot: both the anti-entropy payload and
+    /// the checkpoint a failed-over leader resumes from.
+    fn snapshot(&self, st: &Consensus) -> RootState {
+        RootState {
+            fingerprint: self.fingerprint,
+            shard_fingerprint: self.shard_fingerprint,
+            term: self.term,
+            phase: st.phase,
+            round: st.round,
+            cccp_round: st.cccp_round,
+            iters_done: st.iters_done,
+            inner_done: st.inner_done,
+            admm_iterations: st.admm_iterations as u64,
+            cccp_rounds: wire_u32(st.cccp_rounds),
+            converged: st.converged,
+            w0: st.w0.clone(),
+            history: st.history.values().to_vec(),
+            residuals: st.residual_records(),
+            shards: self.shards.clone(),
         }
-        Ok(out)
     }
 
     /// Anti-entropy: ships the leader's start-of-round checkpoint to every
     /// live replica whose digest disagrees.
-    fn sync_replicas(&mut self, vars: &RootVars) {
-        let state = vars.snapshot(self.fingerprint, self.shard_fingerprint, self.term);
-        let bytes = state.encode().encode();
+    fn sync_replicas(&mut self, st: &Consensus) {
+        let bytes = self.snapshot(st).encode().encode();
         let digest = fnv1a(&bytes);
         let mut synced = 0usize;
         let mut live = 0usize;
@@ -482,13 +361,43 @@ impl<'a> RootDriver<'a> {
         if synced > 0 {
             plos_obs::emit(
                 "anti_entropy",
-                &[
-                    ("round", vars.round.into()),
-                    ("synced", synced.into()),
-                    ("replicas", live.into()),
-                ],
+                &[("round", st.round.into()), ("synced", synced.into()), ("replicas", live.into())],
             );
         }
+    }
+
+    /// Adopts a replica's synced checkpoint after failover. It was synced
+    /// at the start of the very round being replayed, so its coordinates
+    /// must match the in-flight round exactly.
+    fn adopt(&mut self, st: &mut Consensus, bytes: &[u8]) -> Result<(), CoreError> {
+        let file = CheckpointFile::decode(bytes).map_err(CoreError::Ckpt)?;
+        let state = RootState::decode(&file).map_err(CoreError::Ckpt)?;
+        checkpoint::check_fingerprint(state.fingerprint, self.fingerprint)?;
+        if state.shard_fingerprint != self.shard_fingerprint {
+            return Err(CoreError::Ckpt(CkptError::Malformed {
+                detail: "replica checkpoint binds a different shard map".to_string(),
+            }));
+        }
+        if state.round != st.round {
+            return Err(CoreError::Ckpt(CkptError::Malformed {
+                detail: format!(
+                    "replica checkpoint is for round {} but round {} is in flight",
+                    state.round, st.round
+                ),
+            }));
+        }
+        st.w0 = state.w0;
+        st.history = plos_opt::History::from_values(state.history);
+        st.residuals = Consensus::residuals_from(&state.residuals);
+        st.admm_iterations = state.admm_iterations as usize;
+        st.cccp_rounds = state.cccp_rounds as usize;
+        st.converged = state.converged;
+        st.cccp_round = state.cccp_round;
+        st.iters_done = state.iters_done;
+        st.inner_done = state.inner_done;
+        st.phase = state.phase;
+        self.shards = state.shards;
+        Ok(())
     }
 
     /// The mid-round seam: executes every leader kill the plan scheduled
@@ -497,11 +406,11 @@ impl<'a> RootDriver<'a> {
     /// partials. Returns the final partial set to fold.
     fn seam(
         &mut self,
-        vars: &mut RootVars,
-        round: u32,
+        st: &mut Consensus,
         phase: u8,
-        mut partials: Vec<PartialFrame>,
-    ) -> Result<Vec<PartialFrame>, CoreError> {
+        mut partials: Vec<Message>,
+    ) -> Result<Vec<Message>, CoreError> {
+        let round = st.round;
         let planned = self.plan.root_kills_at(round);
         while self.kills_used.get(&round).copied().unwrap_or(0) < planned {
             *self.kills_used.entry(round).or_insert(0) += 1;
@@ -525,77 +434,127 @@ impl<'a> RootDriver<'a> {
             );
             plos_obs::counter_add("sharded.failovers", 1);
             if let Some(bytes) = self.replicas.get(next).and_then(|r| r.state.clone()) {
-                let file = CheckpointFile::decode(&bytes).map_err(CoreError::Ckpt)?;
-                let st = RootState::decode(&file).map_err(CoreError::Ckpt)?;
-                checkpoint::check_fingerprint(st.fingerprint, self.fingerprint)?;
-                if st.shard_fingerprint != self.shard_fingerprint {
-                    return Err(CoreError::Ckpt(CkptError::Malformed {
-                        detail: "replica checkpoint binds a different shard map".to_string(),
-                    }));
-                }
-                vars.adopt(st)?;
+                self.adopt(st, &bytes)?;
             }
             // The new leader resumes the in-flight round from the adopted
             // checkpoint: re-issue and re-collect (idempotent replay).
-            partials = self.collect_partials(round, phase, &vars.w0.clone())?;
+            let request = Message::ShardBroadcast { round, phase, w0: st.w0.clone() };
+            partials = self.collect(round, &request)?;
         }
         Ok(partials)
     }
 
-    /// One full gather: start-of-round anti-entropy, request, collect,
-    /// then the kill seam. Also updates the per-shard checkpoint stats.
-    fn gather_round(
-        &mut self,
-        vars: &mut RootVars,
-        round: u32,
-        phase: u8,
-    ) -> Result<(Vec<PartialFrame>, usize), CoreError> {
-        self.sync_replicas(vars);
-        let w0 = vars.w0.clone();
-        self.send_all(&|_s| Message::ShardBroadcast { round, phase, w0: w0.clone() })?;
-        let partials = self.collect_partials(round, phase, &w0)?;
-        let partials = self.seam(vars, round, phase, partials)?;
-        let mut cohort = 0usize;
-        for (s, p) in partials.iter().enumerate() {
-            cohort += p.n as usize;
-            if let Some(stat) = vars.shards.get_mut(s) {
-                stat.n = u64::from(p.n);
-                stat.last_round = round;
-                stat.partial_digest = p.digest;
-                stat.participation = stat.participation.saturating_add(u64::from(p.participation));
-            }
-        }
-        plos_obs::emit(
-            "shard_round",
-            &[
-                ("round", round.into()),
-                ("phase", u64::from(phase).into()),
-                ("shards", partials.len().into()),
-                ("cohort", cohort.into()),
-                ("leader", self.leader.into()),
-                ("term", self.term.into()),
-            ],
-        );
-        Ok((partials, cohort))
-    }
-
     /// Tells every shard (and through them, every device) the shrunk
     /// cohort size, mirroring the flat path's `RosterUpdate` publication.
-    fn publish_cohort(&mut self, cohort: usize) -> Result<(), CoreError> {
-        if cohort != self.announced {
-            self.announced = cohort;
-            let t_count = wire_u32(cohort);
+    fn publish_cohort(&mut self) -> Result<(), CoreError> {
+        if self.cohort != self.announced {
+            self.announced = self.cohort;
+            let t_count = wire_u32(self.cohort);
             self.send_all(&move |_s| Message::RosterUpdate { t_count })?;
         }
         Ok(())
     }
 }
 
-/// The regional aggregator: owns one shard's devices behind the shared
-/// [`Fleet`] machinery, answers the root's request frames with exact
-/// partial sums, and replays its cached reply when a failed-over leader
-/// re-issues a round.
-#[allow(clippy::too_many_lines)]
+impl Aggregator for RootDriver<'_> {
+    fn resume(&mut self) -> Result<Option<Consensus>, CoreError> {
+        Ok(None)
+    }
+
+    /// One full gather: start-of-round anti-entropy, request, collect, the
+    /// kill seam, then the shard-ordered merge of the partials — the exact
+    /// accumulator makes the grouping irrelevant.
+    fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError> {
+        let round = st.round;
+        self.sync_replicas(st);
+        let request = Message::ShardBroadcast { round, phase, w0: st.w0.clone() };
+        self.send_all(&|_s| request.clone())?;
+        let partials = self.collect(round, &request)?;
+        let partials = self.seam(st, phase, partials)?;
+        // plos-lint: allow(D2): server compute-time metering only
+        let t0 = Instant::now();
+        let mut sum = ExactVecSum::zeros(st.w0.len());
+        let mut contributors = 0;
+        let mut part = RoundParticipation { round, replied: 0, alive: 0, retries: 0 };
+        for (msg, stat) in partials.iter().zip(self.shards.iter_mut()) {
+            let Message::PartialSum { n, m, participation, sum_w, retries, .. } = msg else {
+                continue;
+            };
+            sum.merge(sum_w).map_err(|e| CoreError::Protocol {
+                detail: format!("shard partial has wrong shape: {e}"),
+            })?;
+            contributors += *m as usize;
+            part.replied += *participation as usize;
+            part.alive += *n as usize;
+            part.retries = part.retries.saturating_add(*retries);
+            stat.n = u64::from(*n);
+            stat.last_round = round;
+            stat.partial_digest = fnv1a(&msg.encode());
+            stat.participation = stat.participation.saturating_add(u64::from(*participation));
+        }
+        st.server_compute += t0.elapsed();
+        plos_obs::emit(
+            "shard_round",
+            &[
+                ("round", round.into()),
+                ("phase", u64::from(phase).into()),
+                ("shards", partials.len().into()),
+                ("cohort", part.alive.into()),
+                ("leader", self.leader.into()),
+                ("term", self.term.into()),
+            ],
+        );
+        self.cohort = part.alive;
+        self.participation.push(part);
+        if phase == PHASE_INIT {
+            self.publish_cohort()?;
+        }
+        Ok(Gathered { sum, contributors, cohort: self.cohort })
+    }
+
+    /// Commits down the tree; the regionals run the u-update (or the
+    /// refinement partials) and answer with exact residual partials.
+    fn commit(&mut self, round: u32, phase: u8, w0: &Vector) -> Result<[ExactSum; 2], CoreError> {
+        let request = Message::ShardCommit { round, phase, w0: w0.clone() };
+        self.send_all(&|_s| request.clone())?;
+        let mut merged = [ExactSum::new(), ExactSum::new(), ExactSum::new()];
+        for msg in self.collect(round, &request)? {
+            if let Message::ShardResidual { a, b, c, .. } = msg {
+                for (acc, part) in merged.iter_mut().zip([a, b, c]) {
+                    acc.merge(&part);
+                }
+            }
+        }
+        let [a, b, c] = merged;
+        self.publish_cohort()?;
+        if phase == PHASE_ADMM {
+            self.objective = (b, c);
+            return Ok([a, ExactSum::new()]);
+        }
+        Ok([a, b])
+    }
+
+    fn objective(&mut self) -> (ExactSum, ExactSum, usize) {
+        (self.objective.0.clone(), self.objective.1.clone(), self.cohort)
+    }
+
+    fn advance_cccp(&mut self, cccp_round: usize) -> Result<(), CoreError> {
+        let cccp_round = wire_u32(cccp_round);
+        self.send_all(&move |_s| Message::CccpAdvance { cccp_round })
+    }
+
+    fn participation(&self) -> Option<RoundParticipation> {
+        self.participation.last().copied()
+    }
+
+    fn checkpoint(&mut self, _st: &Consensus) -> Result<(), CoreError> {
+        Ok(())
+    }
+}
+
+/// The regional aggregator: a [`Star`] over one shard's devices that
+/// answers the root's request frames with exact partial sums, and replays
+/// its cached reply when a failed-over leader re-issues a round.
 fn region_loop(
     uplink: &Endpoint,
     shard: usize,
@@ -613,13 +572,8 @@ fn region_loop(
         .zip(ends.iter())
         .map(|(&t, end)| FaultyEndpoint::new(end, plan.link_faults(t)))
         .collect();
-    let mut fleet = Fleet::with_ids(links, ft, devices.clone());
-    let n = devices.len();
-    let mut w_ts = vec![Vector::zeros(dim); n];
-    let mut v_ts = vec![Vector::zeros(dim); n];
-    let mut xi_ts = vec![0.0f64; n];
-    let mut us = vec![Vector::zeros(dim); n];
-    let mut compute = Duration::ZERO;
+    let mut star = Star::new(Fleet::with_ids(links, ft, devices.clone()), dim);
+    let mut st = Consensus::new(dim);
     // Idempotent replay caches: a failed-over leader re-issues the round
     // it was killed in, and the cached reply must be byte-identical.
     let mut last_partial: Option<(u32, Message)> = None;
@@ -636,7 +590,7 @@ fn region_loop(
             }
             Err(TransportError::Timeout | TransportError::Codec(_)) => {
                 if heard.elapsed() > TREE_DEADLINE {
-                    fleet.shutdown();
+                    star.fleet.shutdown();
                     return Err(CoreError::Transport {
                         detail: format!("root went silent on shard {shard}"),
                     });
@@ -647,436 +601,92 @@ fn region_loop(
             // report what this shard has — the root's error is authoritative.
             Err(TransportError::Disconnected) => break,
         };
-        match msg {
-            Message::ShardBroadcast { round, phase, w0 } => {
-                if let Some((r, reply)) = &last_partial {
-                    if *r == round {
-                        // Failover replay: re-reply without touching devices.
-                        let _ = uplink.send(reply);
-                        continue;
-                    }
+        let (round, cache) = match &msg {
+            Message::ShardBroadcast { round, .. } => (*round, &mut last_partial),
+            Message::ShardCommit { round, .. } => (*round, &mut last_residual),
+            Message::CccpAdvance { cccp_round } => {
+                star.advance_cccp(*cccp_round as usize)?;
+                continue;
+            }
+            Message::RosterUpdate { t_count } => {
+                let t_count = *t_count;
+                star.fleet.send_alive(&move |_t| Message::RosterUpdate { t_count });
+                continue;
+            }
+            Message::Shutdown => break,
+            _ => {
+                star.fleet.protocol_errors = star.fleet.protocol_errors.saturating_add(1);
+                continue;
+            }
+        };
+        if let Some((_, reply)) = cache.as_ref().filter(|(r, _)| *r == round) {
+            // Failover replay: re-reply without touching devices.
+            let _ = uplink.send(reply);
+            continue;
+        }
+        let reply = match msg {
+            Message::ShardBroadcast { phase, w0, .. } => {
+                if !matches!(phase, PHASE_INIT | PHASE_ADMM | PHASE_REFINE) {
+                    return Err(CoreError::Protocol {
+                        detail: format!("unknown shard phase {phase} in round {round}"),
+                    });
                 }
-                let reply = if n == 0 {
-                    // An empty shard contributes the exact zero partial.
-                    Message::PartialSum {
-                        shard: shard_id,
-                        round,
-                        n: 0,
-                        m: 0,
-                        participation: 0,
-                        sum_w: ExactVecSum::zeros(dim),
-                        sum_u: ExactVecSum::zeros(0),
-                    }
-                } else {
-                    match phase {
-                        PHASE_INIT => {
-                            let zero = Vector::zeros(dim);
-                            let init = |_t: usize| Message::Broadcast {
-                                round,
-                                w0: w0.clone(),
-                                u_t: zero.clone(),
-                            };
-                            fleet.send_alive(&init);
-                            let mut w_inits = vec![Vector::zeros(dim); n];
-                            fleet.gather(round, true, &init, &mut |t, w_t, _v_t, _xi_t| {
-                                if let Some(slot) = w_inits.get_mut(t) {
-                                    *slot = w_t;
-                                }
-                            })?;
-                            // plos-lint: allow(D2): regional compute-time metering only
-                            let t0 = Instant::now();
-                            let mut sum_w = ExactVecSum::zeros(dim);
-                            let mut m = 0u32;
-                            for w_init in &w_inits {
-                                if w_init.norm() > 0.0 {
-                                    sum_w.add(w_init);
-                                    m += 1;
-                                }
-                            }
-                            compute += t0.elapsed();
-                            partial_reply(shard_id, round, &fleet, m, sum_w)
-                        }
-                        PHASE_ADMM => {
-                            let scatter = |t: usize| Message::Broadcast {
-                                round,
-                                w0: w0.clone(),
-                                u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                            };
-                            fleet.send_alive(&scatter);
-                            fleet.gather(round, true, &scatter, &mut |t, w_t, v_t, xi_t| {
-                                if let (Some(w), Some(v), Some(xi)) =
-                                    (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                                {
-                                    *w = w_t;
-                                    *v = v_t;
-                                    *xi = xi_t;
-                                }
-                            })?;
-                            // plos-lint: allow(D2): regional compute-time metering only
-                            let t0 = Instant::now();
-                            let mut sum_w = ExactVecSum::zeros(dim);
-                            for (t, ((w_t, v_t), u_t)) in
-                                w_ts.iter().zip(&v_ts).zip(&us).enumerate()
-                            {
-                                if !fleet.is_alive(t) {
-                                    continue;
-                                }
-                                sum_w.add(w_t);
-                                sum_w.sub(v_t);
-                                sum_w.add(u_t);
-                            }
-                            compute += t0.elapsed();
-                            partial_reply(shard_id, round, &fleet, 0, sum_w)
-                        }
-                        PHASE_REFINE => {
-                            let refine = |_t: usize| Message::Refine { round, w0: w0.clone() };
-                            fleet.send_alive(&refine);
-                            fleet.gather(round, true, &refine, &mut |t, w_t, v_t, xi_t| {
-                                if let (Some(w), Some(v), Some(xi)) =
-                                    (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                                {
-                                    *w = w_t;
-                                    *v = v_t;
-                                    *xi = xi_t;
-                                }
-                            })?;
-                            // plos-lint: allow(D2): regional compute-time metering only
-                            let t0 = Instant::now();
-                            let mut sum_w = ExactVecSum::zeros(dim);
-                            for (t, w_t) in w_ts.iter().enumerate() {
-                                if fleet.is_alive(t) {
-                                    sum_w.add(w_t);
-                                }
-                            }
-                            compute += t0.elapsed();
-                            partial_reply(shard_id, round, &fleet, 0, sum_w)
-                        }
-                        other => {
-                            return Err(CoreError::Protocol {
-                                detail: format!("unknown shard phase {other} in round {round}"),
-                            })
-                        }
-                    }
-                };
-                last_partial = Some((round, reply.clone()));
-                if uplink.send(&reply).is_err() {
-                    break;
+                (st.round, st.w0) = (round, w0);
+                let g = star.gather(&mut st, phase)?;
+                // An empty shard gathers nothing and contributes the exact
+                // zero partial.
+                let part = star.participation().filter(|p| p.round == round);
+                Message::PartialSum {
+                    shard: shard_id,
+                    round,
+                    n: wire_u32(g.cohort),
+                    m: wire_u32(g.contributors),
+                    participation: part.map_or(0, |p| wire_u32(p.replied)),
+                    sum_w: g.sum,
+                    retries: part.map_or(0, |p| p.retries),
                 }
             }
-            Message::ShardCommit { round, phase, w0 } => {
-                if let Some((r, reply)) = &last_residual {
-                    if *r == round {
-                        let _ = uplink.send(reply);
-                        continue;
-                    }
-                }
-                // plos-lint: allow(D2): regional compute-time metering only
-                let t0 = Instant::now();
-                let mut a = ExactSum::new();
-                let mut b = ExactSum::new();
-                let mut c = ExactSum::new();
-                if phase == PHASE_ADMM {
-                    // Eq. (23)/(24) partials: u-updates plus the primal
-                    // residual term, then the objective's v/ξ terms.
-                    for (t, (w_t, v_t)) in w_ts.iter().zip(&v_ts).enumerate() {
-                        if !fleet.is_alive(t) {
-                            continue;
-                        }
-                        let mut delta = w_t.clone();
-                        delta -= &w0;
-                        delta -= v_t;
-                        a.add(delta.norm_squared());
-                        if let Some(u_t) = us.get_mut(t) {
-                            *u_t += &delta;
-                        }
-                    }
-                    for (t, (v_t, xi_t)) in v_ts.iter().zip(&xi_ts).enumerate() {
-                        if !fleet.is_alive(t) {
-                            continue;
-                        }
-                        b.add(v_t.norm_squared());
-                        c.add(*xi_t);
-                    }
+            Message::ShardCommit { phase, w0, .. } => {
+                // ADMM: the u-update's primal partial, then the objective's
+                // v/ξ terms; refinement: distance-to-consensus and loss.
+                let [a, b] = star.commit(round, phase, &w0)?;
+                let [b, c] = if phase == PHASE_ADMM {
+                    let (v_sq, xi, _) = star.objective();
+                    [v_sq, xi]
                 } else {
-                    // Refinement: distance-to-consensus and loss partials.
-                    for (t, (w_t, xi_t)) in w_ts.iter().zip(&xi_ts).enumerate() {
-                        if !fleet.is_alive(t) {
-                            continue;
-                        }
-                        a.add(w_t.distance_squared(&w0));
-                        b.add(*xi_t);
-                    }
-                }
-                compute += t0.elapsed();
-                let reply = Message::ShardResidual {
+                    [b, ExactSum::new()]
+                };
+                Message::ShardResidual {
                     shard: shard_id,
                     round,
                     a: Box::new(a),
                     b: Box::new(b),
                     c: Box::new(c),
-                };
-                last_residual = Some((round, reply.clone()));
-                if uplink.send(&reply).is_err() {
-                    break;
                 }
             }
-            Message::CccpAdvance { cccp_round } => {
-                fleet.send_alive(&move |_t| Message::CccpAdvance { cccp_round });
-            }
-            Message::RosterUpdate { t_count } => {
-                fleet.send_alive(&move |_t| Message::RosterUpdate { t_count });
-            }
-            Message::Shutdown => break,
-            _ => {
-                fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
-            }
-        }
-    }
-
-    fleet.shutdown();
-    Ok(RegionFinal {
-        devices,
-        w_ts,
-        alive: fleet.alive.clone(),
-        evicted: fleet.evicted.clone(),
-        participation: fleet.participation.clone(),
-        protocol_errors: fleet.protocol_errors,
-        late_discards: fleet.late_discards,
-        compute,
-    })
-}
-
-/// Builds this round's `PartialSum` from a shard's post-gather state.
-fn partial_reply(shard: u32, round: u32, fleet: &Fleet<'_>, m: u32, sum_w: ExactVecSum) -> Message {
-    let participation = fleet.participation.last().map_or(0, |p| wire_u32(p.replied));
-    Message::PartialSum {
-        shard,
-        round,
-        n: wire_u32(fleet.alive_count()),
-        m,
-        participation,
-        sum_w,
-        sum_u: ExactVecSum::zeros(0),
-    }
-}
-
-/// The root protocol driver: mirrors the flat `server_loop` schedule
-/// exactly — initialization fold, CCCP × ADMM with Eq. (23)/(24) updates,
-/// refinement — but over per-shard partial sums merged in shard order.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn root_loop(
-    config: &PlosConfig,
-    uplinks: &[Endpoint],
-    plan: &FaultPlan,
-    num_shards: usize,
-    replicas: usize,
-    dim: usize,
-    t_count: usize,
-    fingerprint: u64,
-    shard_fingerprint: u64,
-) -> Result<RootFinal, CoreError> {
-    let mut driver = RootDriver::new(
-        uplinks,
-        plan,
-        config.seed,
-        t_count,
-        replicas,
-        fingerprint,
-        shard_fingerprint,
-    );
-    let mut vars = RootVars::new(dim, num_shards);
-    let mut server_compute = Duration::ZERO;
-    let rho = config.rho;
-
-    // ---- Initialization round: average provider hyperplanes. ----
-    let (partials, cohort) = driver.gather_round(&mut vars, 0, PHASE_INIT)?;
-    // plos-lint: allow(D2): server compute-time metering only
-    let t0 = Instant::now();
-    let mut w0_acc = ExactVecSum::zeros(dim);
-    let mut contributors = 0u32;
-    for p in &partials {
-        w0_acc.merge(&p.sum_w).map_err(|e| CoreError::Protocol {
-            detail: format!("shard partial has wrong shape: {e}"),
-        })?;
-        contributors += p.m;
-    }
-    if contributors > 0 {
-        vars.w0 = w0_acc.value();
-        vars.w0.scale_mut(1.0 / f64::from(contributors));
-    } else {
-        // No provider anywhere: deterministic random init, bit-identical
-        // to the flat path's fallback.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        vars.w0 = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let norm = vars.w0.norm();
-        if norm > 0.0 {
-            vars.w0.scale_mut(1.0 / norm);
-        }
-    }
-    server_compute += t0.elapsed();
-    driver.publish_cohort(cohort)?;
-
-    // ---- CCCP × ADMM ----
-    for cccp_round in 0..config.max_cccp_rounds {
-        vars.cccp_rounds += 1;
-        vars.cccp_round = wire_u32(cccp_round);
-        if cccp_round > 0 {
-            let advance = wire_u32(cccp_round);
-            driver.send_all(&move |_s| Message::CccpAdvance { cccp_round: advance })?;
-        }
-        let mut obj_v = ExactSum::new();
-        let mut obj_xi = ExactSum::new();
-        let mut last_cohort = cohort.max(1);
-        for iter in 0..config.max_admm_iters {
-            vars.round += 1;
-            vars.admm_iterations += 1;
-            vars.iters_done = wire_u32(iter);
-            vars.inner_done = false;
-            vars.phase = DistributedPhase::Admm;
-            let round = vars.round;
-            let (partials, cohort) = driver.gather_round(&mut vars, round, PHASE_ADMM)?;
-            last_cohort = cohort;
-
-            // Eq. (23): fold the per-shard partials in fixed shard order —
-            // the exact accumulator makes the grouping irrelevant.
-            // plos-lint: allow(D2): server compute-time metering only
-            let t0 = Instant::now();
-            let cohort_f = cohort as f64;
-            let mut w0_acc = ExactVecSum::zeros(dim);
-            for p in &partials {
-                w0_acc.merge(&p.sum_w).map_err(|e| CoreError::Protocol {
-                    detail: format!("shard partial has wrong shape: {e}"),
-                })?;
-            }
-            let mut w0_new = w0_acc.value();
-            w0_new.scale_mut(rho / (2.0 + cohort_f * rho));
-            // Eq. (24): residuals.
-            let sqrt_2t = (2.0 * cohort_f).sqrt();
-            let sqrt_t = cohort_f.sqrt();
-            let dual_residual = rho * sqrt_2t * w0_new.distance(&vars.w0);
-            server_compute += t0.elapsed();
-
-            // Commit down the tree; the regionals run the u-updates and
-            // answer with the primal/objective partials.
-            driver.send_all(&|_s| Message::ShardCommit {
-                round,
-                phase: PHASE_ADMM,
-                w0: w0_new.clone(),
-            })?;
-            let residual_frames = driver.collect_residuals(round, PHASE_ADMM, &w0_new)?;
-            // plos-lint: allow(D2): server compute-time metering only
-            let t1 = Instant::now();
-            let mut primal_acc = ExactSum::new();
-            obj_v = ExactSum::new();
-            obj_xi = ExactSum::new();
-            for (a, b, c) in &residual_frames {
-                primal_acc.merge(a);
-                obj_v.merge(b);
-                obj_xi.merge(c);
-            }
-            let primal_sq = primal_acc.value();
-            vars.w0 = w0_new;
-            server_compute += t1.elapsed();
-
-            let primal_residual = primal_sq.sqrt();
-            vars.residuals.push(AdmmResiduals {
-                round,
-                primal: primal_residual,
-                dual: dual_residual,
-            });
-            plos_obs::emit(
-                "admm_round",
-                &[
-                    ("round", round.into()),
-                    ("primal_residual", primal_residual.into()),
-                    ("dual_residual", dual_residual.into()),
-                    ("cohort", cohort.into()),
-                ],
-            );
-            driver.publish_cohort(cohort)?;
-
-            let residuals_met = dual_residual <= sqrt_2t * config.eps_abs
-                && primal_residual <= sqrt_t * config.eps_abs;
-            if residuals_met {
-                break;
-            }
-        }
-
-        // Objective L (Eq. 23, third line), over the live cohort.
-        let kappa = config.lambda / last_cohort as f64;
-        let objective = vars.w0.norm_squared() + kappa * obj_v.value() + obj_xi.value();
-        vars.history.push(objective);
-        plos_obs::emit(
-            "cccp_round",
-            &[("round", vars.cccp_rounds.into()), ("objective", objective.into())],
-        );
-        if vars.history.converged(config.cccp_tol) {
-            vars.converged = true;
+            // Every other frame was handled above.
+            _ => continue,
+        };
+        *cache = Some((round, reply.clone()));
+        if uplink.send(&reply).is_err() {
             break;
         }
     }
 
-    // ---- Refinement ----
-    for refine_round in 0..config.refine_rounds {
-        vars.round += 1;
-        vars.phase = DistributedPhase::Refine { rounds_done: wire_u32(refine_round) };
-        vars.inner_done = true;
-        let round = vars.round;
-        let (partials, cohort) = driver.gather_round(&mut vars, round, PHASE_REFINE)?;
-
-        // plos-lint: allow(D2): server compute-time metering only
-        let t0 = Instant::now();
-        let cohort_f = cohort as f64;
-        let mut mean_acc = ExactVecSum::zeros(dim);
-        for p in &partials {
-            mean_acc.merge(&p.sum_w).map_err(|e| CoreError::Protocol {
-                detail: format!("shard partial has wrong shape: {e}"),
-            })?;
-        }
-        let mut mean = mean_acc.value();
-        mean.scale_mut(1.0 / cohort_f);
-        vars.w0 = mean.scaled(config.lambda / (1.0 + config.lambda));
-        server_compute += t0.elapsed();
-
-        driver.send_all(&|_s| Message::ShardCommit {
-            round,
-            phase: PHASE_REFINE,
-            w0: vars.w0.clone(),
-        })?;
-        let residual_frames = driver.collect_residuals(round, PHASE_REFINE, &vars.w0)?;
-        let kappa = config.lambda / cohort_f;
-        let mut dist_acc = ExactSum::new();
-        let mut xi_acc = ExactSum::new();
-        for (a, b, _c) in &residual_frames {
-            dist_acc.merge(a);
-            xi_acc.merge(b);
-        }
-        let objective = vars.w0.norm_squared() + kappa * dist_acc.value() + xi_acc.value();
-        vars.history.push(objective);
-        plos_obs::emit(
-            "refine_round",
-            &[("round", (refine_round + 1).into()), ("objective", objective.into())],
-        );
-        driver.publish_cohort(cohort)?;
-    }
-
-    driver.send_all(&|_s| Message::Shutdown)?;
-    Ok(RootFinal {
-        w0: vars.w0,
-        history: vars.history,
-        admm_iterations: vars.admm_iterations,
-        cccp_rounds: vars.cccp_rounds,
-        converged: vars.converged,
-        residuals: vars.residuals,
-        server_compute,
-        protocol_errors: driver.protocol_errors,
-        late_discards: driver.late_discards,
+    star.fleet.shutdown();
+    Ok(RegionFinal {
+        devices,
+        w_ts: star.slots.w,
+        alive: star.fleet.alive,
+        evicted: star.fleet.evicted,
+        protocol_errors: star.fleet.protocol_errors,
+        late_discards: star.fleet.late_discards,
+        compute: star.compute,
     })
 }
 
 /// Trains over the two-level sharded tree. Entry point used by
 /// [`DistributedPlos::fit_with_faults`] when [`Topology::Sharded`] is set.
-#[allow(clippy::too_many_lines, clippy::expect_used)]
 pub(crate) fn fit_sharded(
     trainer: &DistributedPlos,
     dataset: &MultiUserDataset,
@@ -1086,20 +696,13 @@ pub(crate) fn fit_sharded(
     let _span = plos_obs::Span::enter("sharded_fit");
     // plos-lint: allow(D2): wall_clock field of the report only
     let started = Instant::now();
-    plan.validate().map_err(|detail| CoreError::Protocol {
-        detail: format!("invalid fault plan: {detail}"),
-    })?;
+    let cohort = Cohort::prepare(dataset, plan, &trainer.config)?;
     if spec.replicas == 0 || spec.replicas > MAX_ROOT_REPLICAS {
         return Err(CoreError::InvalidConfig {
             detail: format!("root replicas must be 1..={MAX_ROOT_REPLICAS}, got {}", spec.replicas),
         });
     }
-    let prepared = problem::prepare(dataset, trainer.config.bias);
-    let t_count = prepared.users.len();
-    if t_count == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let dim = prepared.dim;
+    let (t_count, dim) = (cohort.t_count, cohort.dim);
     let map = match &spec.assignment {
         Some(assignment) => ShardMap::from_assignment(assignment.clone(), spec.shards),
         None => ShardMap::contiguous(t_count, spec.shards),
@@ -1111,28 +714,10 @@ pub(crate) fn fit_sharded(
         });
     }
     let fingerprint = checkpoint::run_fingerprint(KIND_SHARDED, t_count, dim, &trainer.config);
-    let shard_fingerprint = map.fingerprint();
-
-    let slots: Mutex<Vec<Option<LocalSolver>>> = Mutex::new(
-        prepared
-            .users
-            .iter()
-            .enumerate()
-            .map(|(t, u)| {
-                // Same per-device seed salt as the flat path — the devices
-                // cannot tell which topology is driving them.
-                let mut cfg = trainer.config.clone();
-                cfg.seed = cfg.seed.wrapping_add(t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                Some(LocalSolver::new(u.clone(), cfg, t_count))
-            })
-            .collect(),
-    );
-
-    let network =
-        plos_net::try_star(t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
     let num_shards = map.num_shards();
     let map_ref = &map;
-    let (server_out, exits) = network.run_devices(
+    let (server_out, exits) = cohort.run(
+        &trainer.config,
         trainer.runtime,
         |server_ends| {
             // Move each shard's device endpoints out of the star and into
@@ -1152,80 +737,57 @@ pub(crate) fn fit_sharded(
                 })
                 .collect();
             run_tree(regions, |uplinks| {
-                root_loop(
-                    &trainer.config,
-                    uplinks,
-                    plan,
-                    num_shards,
-                    spec.replicas,
-                    dim,
-                    t_count,
-                    fingerprint,
-                    shard_fingerprint,
-                )
+                let seed = trainer.config.seed;
+                let replicas = spec.replicas;
+                let mut root =
+                    RootDriver::new(uplinks, plan, seed, t_count, replicas, fingerprint, map_ref);
+                let st = consensus::run_schedule(&trainer.config, &mut root, dim)?;
+                root.send_all(&|_s| Message::Shutdown)?;
+                Ok::<_, CoreError>((
+                    st,
+                    root.participation,
+                    root.protocol_errors,
+                    root.late_discards,
+                ))
             })
         },
-        |t| {
-            let solver = slots.lock().get_mut(t).and_then(Option::take);
-            let solver = solver.expect("each device slot is taken exactly once");
-            SyncDeviceMachine {
-                user: wire_u32(t),
-                solver,
-                compute: Duration::ZERO,
-                panic_at: plan.panic_round(t),
-            }
-        },
-    );
+        |t, solver| SyncDeviceMachine::new(t, solver, plan),
+    )?;
 
     let (root_out, region_exits) = server_out;
     // A typed regional failure (quorum lost in a shard, device transport
     // collapse) explains the run better than the root's secondary
     // disconnect error, so surface it first.
-    let mut regions: Vec<Option<RegionFinal>> = Vec::with_capacity(num_shards);
+    let mut regions: Vec<RegionFinal> = Vec::with_capacity(num_shards);
     let mut region_error: Option<CoreError> = None;
     for (s, exit) in region_exits.into_iter().enumerate() {
-        match exit {
-            ClientExit::Finished(Ok(fin)) => regions.push(Some(fin)),
-            ClientExit::Finished(Err(err)) => {
-                if region_error.is_none() {
-                    region_error = Some(err);
-                }
-                regions.push(None);
+        let err = match exit {
+            ClientExit::Finished(Ok(fin)) => {
+                regions.push(fin);
+                continue;
             }
+            ClientExit::Finished(Err(err)) => err,
             ClientExit::Panicked(msg) => {
-                if region_error.is_none() {
-                    region_error = Some(CoreError::Protocol {
-                        detail: format!("regional aggregator {s} panicked: {msg}"),
-                    });
-                }
-                regions.push(None);
+                CoreError::Protocol { detail: format!("regional aggregator {s} panicked: {msg}") }
             }
-        }
+        };
+        region_error.get_or_insert(err);
     }
-    let root = match root_out {
-        Ok(root) => root,
-        Err(err) => {
-            return Err(match (&err, region_error) {
-                // The root's own replica exhaustion is the primary fault.
-                (CoreError::RootQuorumLost { .. }, _) => err,
-                (_, Some(regional)) => regional,
-                (_, None) => err,
-            });
+    let (st, participation, mut protocol_errors, mut late_discards) = match (root_out, region_error)
+    {
+        (Ok(root), None) => root,
+        // The root's own replica exhaustion is the primary fault.
+        (Err(err @ CoreError::RootQuorumLost { .. }), _) | (_, Some(err)) | (Err(err), None) => {
+            return Err(err)
         }
     };
-    if let Some(err) = region_error {
-        return Err(err);
-    }
 
     // Reassemble the global per-device view from the per-shard finals.
     let mut w_ts = vec![Vector::zeros(dim); t_count];
     let mut alive = vec![false; t_count];
     let mut evicted = Vec::new();
-    let mut by_round: BTreeMap<u32, RoundParticipation> = BTreeMap::new();
-    let mut protocol_errors = root.protocol_errors;
-    let mut late_discards = root.late_discards;
-    let mut server_compute = root.server_compute;
-    for fin in regions.into_iter().flatten() {
+    let mut server_compute = st.server_compute;
+    for fin in regions {
         for (local, &t) in fin.devices.iter().enumerate() {
             if let (Some(w_slot), Some(a_slot)) = (w_ts.get_mut(t), alive.get_mut(t)) {
                 *w_slot = fin.w_ts.get(local).cloned().unwrap_or_else(|| Vector::zeros(dim));
@@ -1233,75 +795,18 @@ pub(crate) fn fit_sharded(
             }
         }
         evicted.extend(fin.evicted);
-        for p in fin.participation {
-            let entry = by_round.entry(p.round).or_insert(RoundParticipation {
-                round: p.round,
-                replied: 0,
-                alive: 0,
-                retries: 0,
-            });
-            entry.replied += p.replied;
-            entry.alive += p.alive;
-            entry.retries = entry.retries.saturating_add(p.retries);
-        }
         protocol_errors = protocol_errors.saturating_add(fin.protocol_errors);
         late_discards = late_discards.saturating_add(fin.late_discards);
         server_compute += fin.compute;
     }
-    let participation: Vec<RoundParticipation> = by_round.into_values().collect();
-
-    let w0 = root.w0;
-    let biases: Vec<Vector> = w_ts
-        .iter()
-        .enumerate()
-        .map(|(t, w_t)| {
-            if alive.get(t).copied().unwrap_or(false) || w_t.norm() > 0.0 {
-                w_t - &w0
-            } else {
-                Vector::zeros(dim)
-            }
-        })
-        .collect();
-    let degraded = !evicted.is_empty() || participation.iter().any(|p| p.replied < p.alive);
-    let model = PersonalizedModel::new(w0, biases, trainer.config.bias);
-
-    let mut traffic = Vec::with_capacity(t_count);
-    let mut computes = Vec::with_capacity(t_count);
-    let mut panicked = Vec::new();
-    for (t, exit) in exits.into_iter().enumerate() {
-        match exit {
-            ClientExit::Finished(out) => {
-                traffic.push(out.stats);
-                computes.push(out.compute);
-            }
-            ClientExit::Panicked(_) => {
-                traffic.push(TrafficStats::default());
-                computes.push(Duration::ZERO);
-                panicked.push(t);
-            }
-        }
-    }
-    let mut report = DistributedReport {
-        per_user_traffic: traffic,
-        admm_iterations: root.admm_iterations,
-        cccp_rounds: root.cccp_rounds,
-        history: root.history,
-        converged: root.converged,
-        per_user_compute: computes,
+    let model = consensus::assemble_model(st.w0.clone(), &w_ts, &alive, trainer.config.bias);
+    let report = DistributedReport::from_server(
+        st,
         server_compute,
-        wall_clock: started.elapsed(),
-        degraded,
         evicted,
         participation,
         protocol_errors,
         late_discards,
-        residuals: root.residuals,
-        panicked: Vec::new(),
-    };
-    if !report.panicked.is_empty() || !panicked.is_empty() {
-        report.protocol_errors = report.protocol_errors.saturating_add(panicked.len() as u64);
-        report.degraded = report.degraded || !panicked.is_empty();
-    }
-    report.panicked = panicked;
-    Ok((model, report))
+    );
+    Ok((model, finish_report(report, exits, started)))
 }

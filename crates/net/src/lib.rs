@@ -44,7 +44,6 @@ pub mod metrics;
 pub mod mux;
 pub mod node;
 pub mod shard;
-pub mod sim;
 pub mod transport;
 
 pub use codec::CodecError;
@@ -57,5 +56,4 @@ pub use metrics::{EnergyModel, TrafficStats};
 pub use mux::{drive_blocking, DeviceMachine, DeviceRuntime, DeviceStep, MuxNetwork};
 pub use node::{try_star, ClientExit, StarNetwork, TopologyError};
 pub use shard::{run_tree, ShardMap, ShardMapError};
-pub use sim::LinkModel;
 pub use transport::{Endpoint, TransportError};

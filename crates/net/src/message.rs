@@ -138,9 +138,8 @@ pub enum Message {
         /// Σ over the shard of the phase's primary vector summand
         /// (`w_t − v_t + u_t` in ADMM, `w_init` in init, `w_t` in refine).
         sum_w: ExactVecSum,
-        /// Σ over the shard of the scaled duals `u_t` (zero-dimension when
-        /// the phase has no dual component).
-        sum_u: ExactVecSum,
+        /// Re-broadcasts the shard's retry policy fired this round.
+        retries: u32,
     },
     /// Root → regional aggregator: the folded global state for `round` is
     /// committed; distribute `w0` to your devices and report residuals.
@@ -249,7 +248,7 @@ impl Message {
                 buf.put_u8(*phase);
                 codec::put_vector(&mut buf, w0);
             }
-            Message::PartialSum { shard, round, n, m, participation, sum_w, sum_u } => {
+            Message::PartialSum { shard, round, n, m, participation, sum_w, retries } => {
                 buf.put_u8(TAG_PARTIAL_SUM);
                 buf.put_u32_le(*shard);
                 buf.put_u32_le(*round);
@@ -257,7 +256,7 @@ impl Message {
                 buf.put_u32_le(*m);
                 buf.put_u32_le(*participation);
                 codec::put_exact_vec_sum(&mut buf, sum_w);
-                codec::put_exact_vec_sum(&mut buf, sum_u);
+                buf.put_u32_le(*retries);
             }
             Message::ShardCommit { round, phase, w0 } => {
                 buf.put_u8(TAG_SHARD_COMMIT);
@@ -342,7 +341,7 @@ impl Message {
                 m: codec::get_u32(&mut bytes)?,
                 participation: codec::get_u32(&mut bytes)?,
                 sum_w: codec::get_exact_vec_sum(&mut bytes)?,
-                sum_u: codec::get_exact_vec_sum(&mut bytes)?,
+                retries: codec::get_u32(&mut bytes)?,
             }),
             TAG_SHARD_COMMIT => Ok(Message::ShardCommit {
                 round: codec::get_u32(&mut bytes)?,
@@ -383,9 +382,7 @@ impl Message {
             Message::ShardBroadcast { w0, .. } | Message::ShardCommit { w0, .. } => {
                 4 + 1 + codec::vector_wire_len(w0)
             }
-            Message::PartialSum { sum_w, sum_u, .. } => {
-                5 * 4 + codec::exact_vec_sum_wire_len(sum_w) + codec::exact_vec_sum_wire_len(sum_u)
-            }
+            Message::PartialSum { sum_w, .. } => 6 * 4 + codec::exact_vec_sum_wire_len(sum_w),
             Message::ShardResidual { a, b, c, .. } => {
                 4 + 4
                     + codec::exact_sum_wire_len(a)
@@ -576,9 +573,9 @@ mod tests {
             m: 11,
             participation: 10,
             sum_w: sample_vec_sum(3),
-            sum_u: sample_vec_sum(3),
+            retries: 7,
         });
-        // Phases with no dual component send a zero-dimension sum_u.
+        // A zero-dimension sum round-trips too.
         round_trip(Message::PartialSum {
             shard: 0,
             round: 0,
@@ -586,7 +583,7 @@ mod tests {
             m: 0,
             participation: 0,
             sum_w: ExactVecSum::zeros(0),
-            sum_u: ExactVecSum::zeros(0),
+            retries: 0,
         });
     }
 
@@ -602,7 +599,7 @@ mod tests {
             m: 5,
             participation: 5,
             sum_w: sum.clone(),
-            sum_u: ExactVecSum::zeros(5),
+            retries: u32::MAX,
         };
         let decoded = Message::decode(m.encode()).unwrap();
         let Message::PartialSum { sum_w, .. } = decoded else {
@@ -622,7 +619,7 @@ mod tests {
             m: 3,
             participation: 3,
             sum_w: sample_vec_sum(2),
-            sum_u: sample_vec_sum(2),
+            retries: 3,
         };
         let full = m.encode();
         for cut in 1..full.len() {

@@ -8,6 +8,7 @@
 use plos::obs::json::Json;
 use plos::obs::{self, MemorySink, Value};
 use plos::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The sink slot and metric registries are process-global; every test that
@@ -105,23 +106,84 @@ fn counters_stay_monotonic_under_the_pool() {
 #[test]
 fn distributed_residual_events_match_the_report() {
     let _g = sink_guard();
+    for topology in [Topology::Flat, Topology::Sharded(ShardSpec::new(2))] {
+        let sink = Arc::new(MemorySink::new());
+        obs::set_sink(Some(sink.clone()));
+        let result = DistributedPlos::try_new(PlosConfig::fast())
+            .unwrap()
+            .with_topology(topology.clone())
+            .fit(&cohort(21));
+        obs::set_sink(None);
+        let (_, report) = result.unwrap();
+
+        let rounds: Vec<_> = sink.take().into_iter().filter(|e| e.name == "admm_round").collect();
+        assert_eq!(
+            rounds.len(),
+            report.residuals.len(),
+            "{topology:?}: one admm_round event per recorded residual"
+        );
+        assert_eq!(report.residuals.len(), report.admm_iterations);
+        for (event, res) in rounds.iter().zip(&report.residuals) {
+            assert_eq!(event.field_u64("round"), Some(u64::from(res.round)));
+            let primal = event.field_f64("primal_residual").unwrap();
+            let dual = event.field_f64("dual_residual").unwrap();
+            assert_eq!(primal.to_bits(), res.primal.to_bits(), "{topology:?}: primal drifted");
+            assert_eq!(dual.to_bits(), res.dual.to_bits(), "{topology:?}: dual drifted");
+            // Participation counters ride on the same event.
+            assert!(event.field_u64("replied").unwrap() <= event.field_u64("alive").unwrap());
+        }
+    }
+}
+
+/// Traces one fit under a fresh `MemorySink` and returns its events.
+fn traced<T>(fit: impl FnOnce() -> T) -> (T, Vec<obs::Event>) {
     let sink = Arc::new(MemorySink::new());
     obs::set_sink(Some(sink.clone()));
-    let result = DistributedPlos::try_new(PlosConfig::fast()).unwrap().fit(&cohort(21));
+    let out = fit();
     obs::set_sink(None);
-    let (_, report) = result.unwrap();
+    (out, sink.take())
+}
 
-    let rounds: Vec<_> = sink.take().into_iter().filter(|e| e.name == "admm_round").collect();
-    assert_eq!(rounds.len(), report.residuals.len(), "one admm_round event per recorded residual");
-    assert_eq!(report.residuals.len(), report.admm_iterations);
-    for (event, res) in rounds.iter().zip(&report.residuals) {
-        assert_eq!(event.field_u64("round"), Some(u64::from(res.round)));
-        let primal = event.field_f64("primal_residual").unwrap();
-        let dual = event.field_f64("dual_residual").unwrap();
-        assert_eq!(primal.to_bits(), res.primal.to_bits(), "primal drifted from report");
-        assert_eq!(dual.to_bits(), res.dual.to_bits(), "dual drifted from report");
-        // Participation counters ride on the same event.
-        assert!(event.field_u64("replied").unwrap() <= event.field_u64("alive").unwrap());
+#[test]
+fn every_event_name_has_one_schema() {
+    let _g = sink_guard();
+    let data = cohort(51);
+    // A dead device in every distributed fit, so each server evicts.
+    let plan = FaultPlan::seeded(3).with_dead_link(4, 0);
+    let config = PlosConfig::fast();
+    let dist = DistributedPlos::try_new(config.clone()).unwrap();
+    let tree = dist.clone().with_topology(Topology::Sharded(ShardSpec::new(2)));
+    let s0 = AsyncSpec { staleness_bound: 0, ..AsyncSpec::default() };
+    let fits = [
+        ("centralized", traced(|| CentralizedPlos::try_new(config.clone())?.fit(&data).map(drop))),
+        ("flat", traced(|| dist.fit_with_faults(&data, &plan).map(drop))),
+        ("tree", traced(|| tree.fit_with_faults(&data, &plan).map(drop))),
+        (
+            "async S=0",
+            traced(|| {
+                AsyncDistributedPlos::try_new(config, s0)?.fit_with_faults(&data, &plan).map(drop)
+            }),
+        ),
+    ];
+
+    let mut schemas: BTreeMap<&str, BTreeMap<Vec<&str>, Vec<&str>>> = BTreeMap::new();
+    for (fit, (result, events)) in &fits {
+        result.as_ref().unwrap_or_else(|e| panic!("{fit} fit failed: {e}"));
+        for event in events {
+            let mut keys: Vec<&str> = event.fields.iter().map(|(k, _)| *k).collect();
+            keys.sort_unstable();
+            schemas.entry(event.name).or_default().entry(keys).or_default().push(fit);
+        }
+        if *fit == "flat" || *fit == "tree" {
+            assert!(
+                events.iter().any(|e| e.name == "traffic_summary"),
+                "the {fit} fit emits no traffic_summary"
+            );
+        }
+    }
+    for name in ["cccp_round", "refine_round", "admm_round", "traffic_summary", "eviction"] {
+        let shapes = schemas.get(name).unwrap_or_else(|| panic!("no {name} events traced"));
+        assert_eq!(shapes.len(), 1, "{name} carries more than one field set: {shapes:?}");
     }
 }
 
