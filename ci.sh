@@ -101,8 +101,9 @@ PLOS_NO_SIMD=1 ./target/release/trace_parity > "$trace_tmp/nosimd.txt"
 diff "$trace_tmp/dark.txt" "$trace_tmp/nosimd.txt"
 
 # Resume parity: a run killed at every checkpoint seam and resumed from
-# disk must reproduce the uninterrupted model bit for bit, for both the
-# centralized (CCCP) and distributed (ADMM) trainers (DESIGN.md §10).
+# disk must reproduce the uninterrupted model bit for bit, for the
+# centralized (CCCP) trainer, the flat ADMM star and the async server at
+# S = 0 (DESIGN.md §10).
 echo "==> resume parity (kill at every checkpoint seam, bit-identical models)"
 cargo build -q --release -p plos-bench --bin resume_parity
 ./target/release/resume_parity

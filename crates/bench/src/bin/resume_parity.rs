@@ -1,7 +1,8 @@
 //! Resume-parity gate: killing and resuming training must not change the
 //! model by a single bit.
 //!
-//! For each trainer (centralized CCCP and distributed ADMM) this binary
+//! For each trainer (centralized CCCP, the flat ADMM star and the async
+//! server at staleness bound S = 0) this binary
 //! first runs a seeded fit to completion, then re-runs it with an abort
 //! threshold of one — the run dies at its *first* checkpoint, is resumed,
 //! dies at the next, and so on until completion. Every checkpoint seam the
@@ -15,7 +16,8 @@
 
 use plos_ckpt::model_digest;
 use plos_core::{
-    CentralizedPlos, CheckpointPolicy, CoreError, DistributedPlos, PersonalizedModel, PlosConfig,
+    AsyncDistributedPlos, AsyncSpec, CentralizedPlos, CheckpointPolicy, CoreError, DistributedPlos,
+    PersonalizedModel, PlosConfig,
 };
 use plos_sensing::dataset::{LabelMask, MultiUserDataset};
 use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
@@ -100,8 +102,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(model, _report)| model)
     })?;
 
+    // S = 0 makes the async trajectory timing-independent, so its
+    // boundary snapshots must resume bit for bit too.
+    let s0 = AsyncSpec { staleness_bound: 0, ..AsyncSpec::default() };
+    let (async_clean, _) = AsyncDistributedPlos::try_new(config.clone(), s0)?.fit(&data)?;
+    let async_ok = gate("async S=0", &async_clean, &dir, |policy| {
+        AsyncDistributedPlos::try_new(config.clone(), s0)?
+            .with_checkpointing(policy)
+            .fit(&data)
+            .map(|(model, _report)| model)
+    })?;
+
     std::fs::remove_dir_all(&dir)?;
-    if !(central_ok && dist_ok) {
+    if !(central_ok && dist_ok && async_ok) {
         return Err(
             "resume parity violated: killed-and-resumed model differs from clean run".into()
         );

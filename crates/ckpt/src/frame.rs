@@ -27,9 +27,10 @@ use crate::wire::Reader;
 /// File magic identifying a PLOS checkpoint.
 pub const MAGIC: [u8; 8] = *b"PLOSCKPT";
 /// Format version written by this build.
-pub const FORMAT_VERSION: u16 = 1;
-/// Oldest format version this build still reads.
-pub const MIN_SUPPORTED_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
+/// Oldest format version this build still reads: a version-1 ADMM
+/// snapshot would misparse as the consensus record, so it is refused.
+pub const MIN_SUPPORTED_VERSION: u16 = 2;
 
 /// An in-memory checkpoint: an ordered list of tagged byte sections.
 ///
@@ -235,6 +236,20 @@ mod tests {
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn version_one_frame_is_rejected() {
+        let mut bytes = sample().encode();
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        // Re-seal the trailer so only the version can be at fault.
+        let body = bytes.len() - 8;
+        let trailer = fnv1a(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&trailer);
+        assert_eq!(
+            CheckpointFile::decode(&bytes).unwrap_err(),
+            CkptError::UnsupportedVersion { found: 1, min: 2, max: FORMAT_VERSION }
+        );
     }
 
     #[test]

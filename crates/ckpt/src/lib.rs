@@ -3,9 +3,10 @@
 //!
 //! Long-running PLOS fits (CCCP outer loops centrally, consensus-ADMM
 //! rounds in the distributed deployment) need to survive being killed:
-//! this crate serializes the resumable state — the personalized model
-//! (`w0` + per-user `v_t`), the structured dual solver's working set and
-//! warm start, and the mid-run ADMM server state — into a self-describing
+//! this crate serializes the resumable state — the centralized CCCP
+//! iterate, the structured dual solver's working set and warm start, and
+//! the one consensus-ADMM server record shared by the flat star, the async
+//! server and the sharded tree's root — into a self-describing
 //! binary format and stores it atomically on disk.
 //!
 //! Format guarantees (see `DESIGN.md` §10 for the byte-level layout):
@@ -36,8 +37,8 @@ pub use digest::{fnv1a, model_digest, Fnv1a};
 pub use error::CkptError;
 pub use frame::{CheckpointFile, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION};
 pub use state::{
-    AsyncState, BroadcastRecord, CentralizedPhase, CentralizedState, DistributedPhase,
-    DistributedState, DualEntry, DualState, ModelState, ParticipationRecord, RootState, ShardState,
-    KIND_ASYNC, KIND_CENTRALIZED, KIND_DISTRIBUTED, KIND_DUAL, KIND_MODEL, KIND_SHARDED,
+    BroadcastRecord, CentralizedState, ConsensusState, DualEntry, DualState, ParticipationRecord,
+    Phase, Roster, ShardState, KIND_ASYNC, KIND_CENTRALIZED, KIND_DISTRIBUTED, KIND_DUAL,
+    KIND_SHARDED,
 };
 pub use store::Store;

@@ -4,18 +4,22 @@
 //! data structs; this module owns the byte layout. Each state kind encodes
 //! into a [`CheckpointFile`] with a fixed set of tagged sections:
 //!
-//! | tag | section  | contents                                        |
-//! |-----|----------|-------------------------------------------------|
-//! | 1   | CONTEXT  | kind byte + run fingerprint                     |
-//! | 2   | META     | phase, counters, flags, scalars                 |
-//! | 3   | MODEL    | w0 and per-user vector blocks                   |
-//! | 4   | HISTORY  | objective history (+ residuals, distributed)    |
-//! | 5   | ROSTER   | liveness, strikes, evictions, participation     |
-//! | 6   | LOG      | current-round broadcast replay log              |
-//! | 7   | DUAL     | cutting-plane working set + warm start          |
+//! | tag | section  | contents                                          |
+//! |-----|----------|---------------------------------------------------|
+//! | 1   | CONTEXT  | kind byte + run fingerprint                       |
+//! | 2   | META     | phase, counters, flags, scalars                   |
+//! | 3   | MODEL    | w0 and per-user vector blocks                     |
+//! | 4   | HISTORY  | objective history (+ residuals, consensus)        |
+//! | 5   | ROSTER   | liveness, strikes, evictions, counters, shards    |
+//! | 6   | LOG      | current-round broadcast replay log                |
+//! | 7   | DUAL     | cutting-plane working set + warm start            |
+//!
+//! The three ADMM servers — the flat star, the bounded-staleness async
+//! server and the sharded tree's root — share one record,
+//! [`ConsensusState`]; its kind byte says which server wrote it.
 //!
 //! Privacy note: none of these sections ever carry device-local training
-//! data. The distributed state holds only quantities the server already
+//! data. The consensus record holds only quantities the server already
 //! received over the wire (consensus iterates, duals, slacks, anchors).
 
 use crate::error::CkptError;
@@ -31,24 +35,22 @@ pub const SEC_META: u16 = 2;
 pub const SEC_MODEL: u16 = 3;
 /// Section tag: objective history and residuals.
 pub const SEC_HISTORY: u16 = 4;
-/// Section tag: fleet roster (distributed only).
+/// Section tag: fleet roster and shard table (consensus only).
 pub const SEC_ROSTER: u16 = 5;
-/// Section tag: broadcast replay log (distributed only).
+/// Section tag: broadcast replay log (consensus only).
 pub const SEC_LOG: u16 = 6;
 /// Section tag: dual-solver working set.
 pub const SEC_DUAL: u16 = 7;
 
-/// Kind byte: a finished [`ModelState`].
-pub const KIND_MODEL: u8 = 1;
 /// Kind byte: a [`DualState`].
 pub const KIND_DUAL: u8 = 2;
 /// Kind byte: a [`CentralizedState`].
 pub const KIND_CENTRALIZED: u8 = 3;
-/// Kind byte: a [`DistributedState`].
+/// Kind byte: a [`ConsensusState`] written by the flat star.
 pub const KIND_DISTRIBUTED: u8 = 4;
-/// Kind byte: an [`AsyncState`].
+/// Kind byte: a [`ConsensusState`] written by the async server.
 pub const KIND_ASYNC: u8 = 5;
-/// Kind byte: a [`RootState`].
+/// Kind byte: a [`ConsensusState`] written by the sharded tree's root.
 pub const KIND_SHARDED: u8 = 6;
 
 fn context_section(kind: u8, fingerprint: u64) -> Vec<u8> {
@@ -69,80 +71,74 @@ fn read_context(file: &CheckpointFile, expected: u8) -> Result<u64, CkptError> {
     Ok(fingerprint)
 }
 
-fn put_vectors(w: &mut Writer, vs: &[Vector]) {
-    w.put_usize(vs.len());
-    for v in vs {
-        w.put_vector(v);
+fn malformed(detail: String) -> CkptError {
+    CkptError::Malformed { detail }
+}
+
+/// Writes a length-prefixed list, one `put` per item.
+fn put_list<T>(w: &mut Writer, items: &[T], mut put: impl FnMut(&mut Writer, &T)) {
+    w.put_usize(items.len());
+    for item in items {
+        put(w, item);
     }
+}
+
+/// Reads a length-prefixed list whose items each take at least `min_size`
+/// bytes (checked before allocating).
+fn get_list<'a, T>(
+    r: &mut Reader<'a>,
+    min_size: usize,
+    what: &'static str,
+    mut get: impl FnMut(&mut Reader<'a>) -> Result<T, CkptError>,
+) -> Result<Vec<T>, CkptError> {
+    let len = r.get_len(min_size, what)?;
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(get(r)?);
+    }
+    Ok(out)
+}
+
+fn put_vectors(w: &mut Writer, vs: &[Vector]) {
+    put_list(w, vs, Writer::put_vector);
 }
 
 fn get_vectors(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<Vector>, CkptError> {
     // Each vector costs at least its 8-byte length prefix.
-    let len = r.get_len(8, what)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.get_vector(what)?);
-    }
-    Ok(out)
+    get_list(r, 8, what, |r| r.get_vector(what))
 }
 
-fn put_bools(w: &mut Writer, vs: &[bool]) {
-    w.put_usize(vs.len());
-    for &v in vs {
-        w.put_bool(v);
-    }
+/// Which outer phase a run was in when checkpointed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Phase {
+    /// Inside the CCCP outer loop — for the ADMM servers, inside the
+    /// consensus loop of some CCCP round.
+    #[default]
+    Cccp,
+    /// Inside post-CCCP refinement.
+    Refine {
+        /// Refinement rounds already completed.
+        rounds_done: u32,
+    },
 }
 
-fn get_bools(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<bool>, CkptError> {
-    let len = r.get_len(1, what)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.get_bool(what)?);
-    }
-    Ok(out)
+/// The one phase codec: a phase byte plus the refinement round count.
+fn put_phase(w: &mut Writer, phase: Phase) {
+    let (byte, rounds_done) = match phase {
+        Phase::Cccp => (0, 0),
+        Phase::Refine { rounds_done } => (1, rounds_done),
+    };
+    w.put_u8(byte);
+    w.put_u32(rounds_done);
 }
 
-/// A finished personalized model: global hyperplane, per-user biases, and
-/// the optional bias-augmentation constant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelState {
-    /// Structural fingerprint of the run that produced the model.
-    pub fingerprint: u64,
-    /// Global hyperplane `w0` (feature space, possibly bias-augmented).
-    pub w0: Vector,
-    /// Per-user biases `v_t`, one per user.
-    pub biases: Vec<Vector>,
-    /// Bias augmentation constant, if the model was trained with one.
-    pub bias_aug: Option<f64>,
-}
-
-impl ModelState {
-    /// Serializes into a framed checkpoint.
-    #[must_use]
-    pub fn encode(&self) -> CheckpointFile {
-        let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_MODEL, self.fingerprint));
-        let mut meta = Writer::new();
-        meta.put_opt_f64(self.bias_aug);
-        file.push_section(SEC_META, meta.into_bytes());
-        let mut model = Writer::new();
-        model.put_vector(&self.w0);
-        put_vectors(&mut model, &self.biases);
-        file.push_section(SEC_MODEL, model.into_bytes());
-        file
-    }
-
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_MODEL)?;
-        let mut meta = Reader::new(file.section(SEC_META)?);
-        let bias_aug = meta.get_opt_f64("bias_aug")?;
-        meta.finish("meta section")?;
-        let mut model = Reader::new(file.section(SEC_MODEL)?);
-        let w0 = model.get_vector("w0")?;
-        let biases = get_vectors(&mut model, "biases")?;
-        model.finish("model section")?;
-        Ok(ModelState { fingerprint, w0, biases, bias_aug })
+fn get_phase(r: &mut Reader<'_>) -> Result<Phase, CkptError> {
+    let byte = r.get_u8("phase")?;
+    let rounds_done = r.get_u32("refine rounds done")?;
+    match byte {
+        0 => Ok(Phase::Cccp),
+        1 => Ok(Phase::Refine { rounds_done }),
+        other => Err(malformed(format!("unknown phase byte {other}"))),
     }
 }
 
@@ -237,30 +233,19 @@ impl DualState {
     }
 }
 
-/// Which outer phase a centralized run was in when checkpointed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CentralizedPhase {
-    /// Inside the CCCP outer loop; `vectors` holds per-user biases `v_t`.
-    Cccp,
-    /// Inside refinement; `vectors` holds per-user hyperplanes `w_t`, and
-    /// the payload counts completed refine rounds.
-    Refine {
-        /// Refinement rounds already completed.
-        rounds_done: u32,
-    },
-}
-
 /// Mid-run state of the centralized CCCP solver, written after each outer
 /// round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CentralizedState {
     /// Structural fingerprint of the run (dataset shape + config).
     pub fingerprint: u64,
-    /// Outer phase and phase-local progress.
-    pub phase: CentralizedPhase,
+    /// Outer phase and phase-local progress. In [`Phase::Cccp`] `vectors`
+    /// holds per-user biases `v_t`; in [`Phase::Refine`] it holds per-user
+    /// hyperplanes `w_t`.
+    pub phase: Phase,
     /// Current global hyperplane `w0`.
     pub w0: Vector,
-    /// Phase-dependent per-user vectors (see [`CentralizedPhase`]).
+    /// Phase-dependent per-user vectors (see [`CentralizedState::phase`]).
     pub vectors: Vec<Vector>,
     /// Objective value after every completed outer round.
     pub history: Vec<f64>,
@@ -281,16 +266,7 @@ impl CentralizedState {
         let mut file = CheckpointFile::new();
         file.push_section(SEC_CONTEXT, context_section(KIND_CENTRALIZED, self.fingerprint));
         let mut meta = Writer::new();
-        match self.phase {
-            CentralizedPhase::Cccp => {
-                meta.put_u8(0);
-                meta.put_u32(0);
-            }
-            CentralizedPhase::Refine { rounds_done } => {
-                meta.put_u8(1);
-                meta.put_u32(rounds_done);
-            }
-        }
+        put_phase(&mut meta, self.phase);
         meta.put_u32(self.cccp_rounds);
         meta.put_bool(self.cccp_converged);
         meta.put_u64(self.cutting_rounds);
@@ -310,17 +286,7 @@ impl CentralizedState {
     pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
         let fingerprint = read_context(file, KIND_CENTRALIZED)?;
         let mut meta = Reader::new(file.section(SEC_META)?);
-        let phase_byte = meta.get_u8("phase")?;
-        let rounds_done = meta.get_u32("refine rounds done")?;
-        let phase = match phase_byte {
-            0 => CentralizedPhase::Cccp,
-            1 => CentralizedPhase::Refine { rounds_done },
-            other => {
-                return Err(CkptError::Malformed {
-                    detail: format!("unknown centralized phase byte {other}"),
-                })
-            }
-        };
+        let phase = get_phase(&mut meta)?;
         let cccp_rounds = meta.get_u32("cccp_rounds")?;
         let cccp_converged = meta.get_bool("cccp_converged")?;
         let cutting_rounds = meta.get_u64("cutting_rounds")?;
@@ -345,18 +311,6 @@ impl CentralizedState {
             constraints_added,
         })
     }
-}
-
-/// Which phase a distributed run was in when checkpointed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistributedPhase {
-    /// Inside the ADMM consensus loop of some CCCP round.
-    Admm,
-    /// Inside post-consensus refinement.
-    Refine {
-        /// Refinement rounds already completed.
-        rounds_done: u32,
-    },
 }
 
 /// One recorded participation round, mirrored from the fleet.
@@ -385,467 +339,8 @@ pub struct BroadcastRecord {
     pub us: Vec<Vector>,
 }
 
-/// Mid-run state of the distributed ADMM server, written after each ADMM
-/// iteration and each refinement round. Server-side quantities only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedState {
-    /// Structural fingerprint of the run (cohort shape + config).
-    pub fingerprint: u64,
-    /// Phase and phase-local progress.
-    pub phase: DistributedPhase,
-    /// Last communication round number used.
-    pub round: u32,
-    /// Zero-based index of the current CCCP round.
-    pub cccp_round: u32,
-    /// ADMM iterations completed inside the current CCCP round.
-    pub iters_done: u32,
-    /// True once the current CCCP round's ADMM loop has finished (residual
-    /// break or iteration budget) and only the objective push remains.
-    pub inner_done: bool,
-    /// Total ADMM iterations across all CCCP rounds.
-    pub admm_iterations: u64,
-    /// CCCP rounds completed (incremented at round entry).
-    pub cccp_rounds: u32,
-    /// Whether the CCCP history reached its convergence tolerance.
-    pub converged: bool,
-    /// Current consensus iterate `w0`.
-    pub w0: Vector,
-    /// Per-user scaled duals `u_t`.
-    pub us: Vec<Vector>,
-    /// Last per-user hyperplanes `w_t` received.
-    pub w_ts: Vec<Vector>,
-    /// Last per-user biases `v_t` received.
-    pub v_ts: Vec<Vector>,
-    /// Last per-user slack totals ξ_t received.
-    pub xi_ts: Vec<f64>,
-    /// Per-user CCCP anchors: each device's `w_t` at the start of the
-    /// current CCCP round (what its linearization signs derive from).
-    pub anchors: Vec<Vector>,
-    /// Broadcasts of the current CCCP round, oldest first.
-    pub log: Vec<BroadcastRecord>,
-    /// Device liveness flags.
-    pub alive: Vec<bool>,
-    /// Consecutive missed-round strikes per device.
-    pub missed: Vec<u32>,
-    /// Devices evicted so far, in eviction order.
-    pub evicted: Vec<u64>,
-    /// Per-round participation records.
-    pub participation: Vec<ParticipationRecord>,
-    /// Malformed-reply count.
-    pub protocol_errors: u64,
-    /// Late/duplicate replies discarded.
-    pub late_discards: u64,
-    /// Objective value after every completed CCCP round.
-    pub history: Vec<f64>,
-    /// Per-ADMM-iteration residuals: (round, primal, dual).
-    pub residuals: Vec<(u32, f64, f64)>,
-}
-
-impl DistributedState {
-    /// Serializes into a framed checkpoint.
-    #[must_use]
-    pub fn encode(&self) -> CheckpointFile {
-        let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_DISTRIBUTED, self.fingerprint));
-        let mut meta = Writer::new();
-        match self.phase {
-            DistributedPhase::Admm => {
-                meta.put_u8(0);
-                meta.put_u32(0);
-            }
-            DistributedPhase::Refine { rounds_done } => {
-                meta.put_u8(1);
-                meta.put_u32(rounds_done);
-            }
-        }
-        meta.put_u32(self.round);
-        meta.put_u32(self.cccp_round);
-        meta.put_u32(self.iters_done);
-        meta.put_bool(self.inner_done);
-        meta.put_u64(self.admm_iterations);
-        meta.put_u32(self.cccp_rounds);
-        meta.put_bool(self.converged);
-        meta.put_u64(self.protocol_errors);
-        meta.put_u64(self.late_discards);
-        file.push_section(SEC_META, meta.into_bytes());
-
-        let mut model = Writer::new();
-        model.put_vector(&self.w0);
-        put_vectors(&mut model, &self.us);
-        put_vectors(&mut model, &self.w_ts);
-        put_vectors(&mut model, &self.v_ts);
-        model.put_f64s(&self.xi_ts);
-        put_vectors(&mut model, &self.anchors);
-        file.push_section(SEC_MODEL, model.into_bytes());
-
-        let mut log = Writer::new();
-        log.put_usize(self.log.len());
-        for rec in &self.log {
-            log.put_u32(rec.round);
-            log.put_vector(&rec.w0);
-            put_vectors(&mut log, &rec.us);
-        }
-        file.push_section(SEC_LOG, log.into_bytes());
-
-        let mut roster = Writer::new();
-        put_bools(&mut roster, &self.alive);
-        roster.put_usize(self.missed.len());
-        for &m in &self.missed {
-            roster.put_u32(m);
-        }
-        roster.put_u64s(&self.evicted);
-        roster.put_usize(self.participation.len());
-        for p in &self.participation {
-            roster.put_u32(p.round);
-            roster.put_u64(p.replied);
-            roster.put_u64(p.alive);
-            roster.put_u64(p.retries);
-        }
-        file.push_section(SEC_ROSTER, roster.into_bytes());
-
-        let mut hist = Writer::new();
-        hist.put_f64s(&self.history);
-        hist.put_usize(self.residuals.len());
-        for &(round, primal, dual) in &self.residuals {
-            hist.put_u32(round);
-            hist.put_f64(primal);
-            hist.put_f64(dual);
-        }
-        file.push_section(SEC_HISTORY, hist.into_bytes());
-        file
-    }
-
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_DISTRIBUTED)?;
-        let mut meta = Reader::new(file.section(SEC_META)?);
-        let phase_byte = meta.get_u8("phase")?;
-        let rounds_done = meta.get_u32("refine rounds done")?;
-        let phase = match phase_byte {
-            0 => DistributedPhase::Admm,
-            1 => DistributedPhase::Refine { rounds_done },
-            other => {
-                return Err(CkptError::Malformed {
-                    detail: format!("unknown distributed phase byte {other}"),
-                })
-            }
-        };
-        let round = meta.get_u32("round")?;
-        let cccp_round = meta.get_u32("cccp_round")?;
-        let iters_done = meta.get_u32("iters_done")?;
-        let inner_done = meta.get_bool("inner_done")?;
-        let admm_iterations = meta.get_u64("admm_iterations")?;
-        let cccp_rounds = meta.get_u32("cccp_rounds")?;
-        let converged = meta.get_bool("converged")?;
-        let protocol_errors = meta.get_u64("protocol_errors")?;
-        let late_discards = meta.get_u64("late_discards")?;
-        meta.finish("meta section")?;
-
-        let mut model = Reader::new(file.section(SEC_MODEL)?);
-        let w0 = model.get_vector("w0")?;
-        let us = get_vectors(&mut model, "duals")?;
-        let w_ts = get_vectors(&mut model, "hyperplanes")?;
-        let v_ts = get_vectors(&mut model, "biases")?;
-        let xi_ts = model.get_f64s("slacks")?;
-        let anchors = get_vectors(&mut model, "anchors")?;
-        model.finish("model section")?;
-
-        let mut log_r = Reader::new(file.section(SEC_LOG)?);
-        let log_len = log_r.get_len(4 + 8 + 8, "broadcast log")?;
-        let mut log = Vec::with_capacity(log_len);
-        for _ in 0..log_len {
-            let rec_round = log_r.get_u32("log round")?;
-            let rec_w0 = log_r.get_vector("log w0")?;
-            let rec_us = get_vectors(&mut log_r, "log duals")?;
-            log.push(BroadcastRecord { round: rec_round, w0: rec_w0, us: rec_us });
-        }
-        log_r.finish("log section")?;
-
-        let mut roster = Reader::new(file.section(SEC_ROSTER)?);
-        let alive = get_bools(&mut roster, "alive flags")?;
-        let missed_len = roster.get_len(4, "missed strikes")?;
-        let mut missed = Vec::with_capacity(missed_len);
-        for _ in 0..missed_len {
-            missed.push(roster.get_u32("missed strikes")?);
-        }
-        let evicted = roster.get_u64s("evicted roster")?;
-        let part_len = roster.get_len(4 + 8 + 8 + 8, "participation")?;
-        let mut participation = Vec::with_capacity(part_len);
-        for _ in 0..part_len {
-            participation.push(ParticipationRecord {
-                round: roster.get_u32("participation round")?,
-                replied: roster.get_u64("participation replied")?,
-                alive: roster.get_u64("participation alive")?,
-                retries: roster.get_u64("participation retries")?,
-            });
-        }
-        roster.finish("roster section")?;
-
-        let mut hist = Reader::new(file.section(SEC_HISTORY)?);
-        let history = hist.get_f64s("objective history")?;
-        let res_len = hist.get_len(4 + 8 + 8, "residuals")?;
-        let mut residuals = Vec::with_capacity(res_len);
-        for _ in 0..res_len {
-            let r = hist.get_u32("residual round")?;
-            let primal = hist.get_f64("primal residual")?;
-            let dual = hist.get_f64("dual residual")?;
-            residuals.push((r, primal, dual));
-        }
-        hist.finish("history section")?;
-
-        let state = DistributedState {
-            fingerprint,
-            phase,
-            round,
-            cccp_round,
-            iters_done,
-            inner_done,
-            admm_iterations,
-            cccp_rounds,
-            converged,
-            w0,
-            us,
-            w_ts,
-            v_ts,
-            xi_ts,
-            anchors,
-            log,
-            alive,
-            missed,
-            evicted,
-            participation,
-            protocol_errors,
-            late_discards,
-            history,
-            residuals,
-        };
-        state.validate()?;
-        Ok(state)
-    }
-
-    /// Cross-field consistency: every per-user collection must agree on
-    /// the cohort size.
-    fn validate(&self) -> Result<(), CkptError> {
-        let t = self.us.len();
-        let lens = [
-            ("w_ts", self.w_ts.len()),
-            ("v_ts", self.v_ts.len()),
-            ("xi_ts", self.xi_ts.len()),
-            ("anchors", self.anchors.len()),
-            ("alive", self.alive.len()),
-            ("missed", self.missed.len()),
-        ];
-        for (name, len) in lens {
-            if len != t {
-                return Err(CkptError::Malformed {
-                    detail: format!("cohort size disagreement: us has {t}, {name} has {len}"),
-                });
-            }
-        }
-        for rec in &self.log {
-            if rec.us.len() != t {
-                return Err(CkptError::Malformed {
-                    detail: format!(
-                        "broadcast record round {} has {} duals for cohort of {t}",
-                        rec.round,
-                        rec.us.len()
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Boundary state of the bounded-staleness asynchronous ADMM server,
-/// written after each completed CCCP round and each refinement round.
-///
-/// Unlike [`DistributedState`] there is no broadcast replay log: the async
-/// server only checkpoints at CCCP/refinement boundaries, where every
-/// device's linearization anchor equals its last accepted hyperplane
-/// (`w_ts`), so a `Restore` handshake alone re-seats the fleet bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncState {
-    /// Structural fingerprint of the run (cohort shape + config + spec).
-    pub fingerprint: u64,
-    /// Phase and phase-local progress. `Admm` means "at a CCCP boundary".
-    pub phase: DistributedPhase,
-    /// Last consensus epoch number used (epochs continue the sync round
-    /// numbering: 0 is the init round).
-    pub epoch: u32,
-    /// Zero-based index of the next CCCP round to execute.
-    pub cccp_round: u32,
-    /// Applied ADMM epochs across all CCCP rounds (passes that folded at
-    /// least one update and advanced the consensus state).
-    pub admm_epochs: u64,
-    /// CCCP rounds completed.
-    pub cccp_rounds: u32,
-    /// Whether the CCCP history reached its convergence tolerance.
-    pub converged: bool,
-    /// Updates discarded because their basis exceeded the staleness bound.
-    pub stale_discards: u64,
-    /// Replies discarded as duplicates or answers to superseded epochs.
-    pub late_discards: u64,
-    /// Assignments re-issued after their awaited reply went over-stale.
-    pub reassignments: u64,
-    /// Malformed-reply count.
-    pub protocol_errors: u64,
-    /// Current consensus iterate `w0`.
-    pub w0: Vector,
-    /// Per-user scaled duals `u_t`.
-    pub us: Vec<Vector>,
-    /// Last per-user hyperplanes `w_t` accepted.
-    pub w_ts: Vec<Vector>,
-    /// Last per-user biases `v_t` accepted.
-    pub v_ts: Vec<Vector>,
-    /// Last per-user slack totals ξ_t accepted.
-    pub xi_ts: Vec<f64>,
-    /// Device liveness flags.
-    pub alive: Vec<bool>,
-    /// Devices evicted so far, in eviction order.
-    pub evicted: Vec<u64>,
-    /// Objective value after every completed CCCP round.
-    pub history: Vec<f64>,
-}
-
-impl AsyncState {
-    /// Serializes into a framed checkpoint.
-    #[must_use]
-    pub fn encode(&self) -> CheckpointFile {
-        let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_ASYNC, self.fingerprint));
-        let mut meta = Writer::new();
-        match self.phase {
-            DistributedPhase::Admm => {
-                meta.put_u8(0);
-                meta.put_u32(0);
-            }
-            DistributedPhase::Refine { rounds_done } => {
-                meta.put_u8(1);
-                meta.put_u32(rounds_done);
-            }
-        }
-        meta.put_u32(self.epoch);
-        meta.put_u32(self.cccp_round);
-        meta.put_u64(self.admm_epochs);
-        meta.put_u32(self.cccp_rounds);
-        meta.put_bool(self.converged);
-        meta.put_u64(self.stale_discards);
-        meta.put_u64(self.late_discards);
-        meta.put_u64(self.reassignments);
-        meta.put_u64(self.protocol_errors);
-        file.push_section(SEC_META, meta.into_bytes());
-
-        let mut model = Writer::new();
-        model.put_vector(&self.w0);
-        put_vectors(&mut model, &self.us);
-        put_vectors(&mut model, &self.w_ts);
-        put_vectors(&mut model, &self.v_ts);
-        model.put_f64s(&self.xi_ts);
-        file.push_section(SEC_MODEL, model.into_bytes());
-
-        let mut roster = Writer::new();
-        put_bools(&mut roster, &self.alive);
-        roster.put_u64s(&self.evicted);
-        file.push_section(SEC_ROSTER, roster.into_bytes());
-
-        let mut hist = Writer::new();
-        hist.put_f64s(&self.history);
-        file.push_section(SEC_HISTORY, hist.into_bytes());
-        file
-    }
-
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_ASYNC)?;
-        let mut meta = Reader::new(file.section(SEC_META)?);
-        let phase_byte = meta.get_u8("phase")?;
-        let rounds_done = meta.get_u32("refine rounds done")?;
-        let phase = match phase_byte {
-            0 => DistributedPhase::Admm,
-            1 => DistributedPhase::Refine { rounds_done },
-            other => {
-                return Err(CkptError::Malformed {
-                    detail: format!("unknown async phase byte {other}"),
-                })
-            }
-        };
-        let epoch = meta.get_u32("epoch")?;
-        let cccp_round = meta.get_u32("cccp_round")?;
-        let admm_epochs = meta.get_u64("admm_epochs")?;
-        let cccp_rounds = meta.get_u32("cccp_rounds")?;
-        let converged = meta.get_bool("converged")?;
-        let stale_discards = meta.get_u64("stale_discards")?;
-        let late_discards = meta.get_u64("late_discards")?;
-        let reassignments = meta.get_u64("reassignments")?;
-        let protocol_errors = meta.get_u64("protocol_errors")?;
-        meta.finish("meta section")?;
-
-        let mut model = Reader::new(file.section(SEC_MODEL)?);
-        let w0 = model.get_vector("w0")?;
-        let us = get_vectors(&mut model, "duals")?;
-        let w_ts = get_vectors(&mut model, "hyperplanes")?;
-        let v_ts = get_vectors(&mut model, "biases")?;
-        let xi_ts = model.get_f64s("slacks")?;
-        model.finish("model section")?;
-
-        let mut roster = Reader::new(file.section(SEC_ROSTER)?);
-        let alive = get_bools(&mut roster, "alive flags")?;
-        let evicted = roster.get_u64s("evicted roster")?;
-        roster.finish("roster section")?;
-
-        let mut hist = Reader::new(file.section(SEC_HISTORY)?);
-        let history = hist.get_f64s("objective history")?;
-        hist.finish("history section")?;
-
-        let state = AsyncState {
-            fingerprint,
-            phase,
-            epoch,
-            cccp_round,
-            admm_epochs,
-            cccp_rounds,
-            converged,
-            stale_discards,
-            late_discards,
-            reassignments,
-            protocol_errors,
-            w0,
-            us,
-            w_ts,
-            v_ts,
-            xi_ts,
-            alive,
-            evicted,
-            history,
-        };
-        state.validate()?;
-        Ok(state)
-    }
-
-    /// Cross-field consistency: every per-user collection must agree on
-    /// the cohort size.
-    fn validate(&self) -> Result<(), CkptError> {
-        let t = self.us.len();
-        let lens = [
-            ("w_ts", self.w_ts.len()),
-            ("v_ts", self.v_ts.len()),
-            ("xi_ts", self.xi_ts.len()),
-            ("alive", self.alive.len()),
-        ];
-        for (name, len) in lens {
-            if len != t {
-                return Err(CkptError::Malformed {
-                    detail: format!("cohort size disagreement: us has {t}, {name} has {len}"),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Per-shard progress mirrored at the root, one entry per shard of the
-/// [`RootState`]'s shard map.
+/// Per-shard progress mirrored at the tree's root, one entry per shard of
+/// its shard map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardState {
     /// Shard index.
@@ -863,33 +358,65 @@ pub struct ShardState {
     pub participation: u64,
 }
 
-/// The sharded tree root's replicated consensus state.
+/// A star-shaped server's device roster, mirrored from its fleet: liveness,
+/// strikes, evictions, attendance and the discard counters, so a resumed
+/// run's report continues the interrupted one's.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Roster {
+    /// Device liveness flags.
+    pub alive: Vec<bool>,
+    /// Consecutive missed-round strikes per device.
+    pub missed: Vec<u32>,
+    /// Devices evicted so far, in eviction order.
+    pub evicted: Vec<u64>,
+    /// Per-round participation records.
+    pub participation: Vec<ParticipationRecord>,
+    /// Malformed-reply count.
+    pub protocol_errors: u64,
+    /// Late/duplicate replies discarded.
+    pub late_discards: u64,
+    /// Async: updates discarded because their basis exceeded the staleness
+    /// bound.
+    pub stale_discards: u64,
+    /// Async: assignments re-issued after their awaited reply went
+    /// over-stale.
+    pub reassignments: u64,
+}
+
+/// The consensus-ADMM server state of Algorithm 2, as the flat star, the
+/// bounded-staleness async server and the sharded tree's root record it.
 ///
-/// This is both a checkpoint section set *and* the anti-entropy wire
-/// state: at every deterministic seam the leader encodes a `RootState`,
-/// replicas digest-compare, and mismatching replicas receive the full
-/// encoding. A failed-over leader therefore resumes from exactly the
-/// bytes the dead leader last synchronized. `shard_fingerprint` binds the
-/// state to the partition it was produced under (`ShardMap::fingerprint`
-/// in `plos-net`), so state is never applied across different shard maps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RootState {
+/// A mode writes every part it lacks empty:
+///
+/// * the **flat star** snapshots after every ADMM iteration and refinement
+///   round; it writes the device slots, the roster and — mid-CCCP — each
+///   device's CCCP anchor and the round's broadcast log;
+/// * the **async server** snapshots at CCCP and refinement boundaries,
+///   where each device's anchor is its own last `w_t`, so it writes no
+///   anchors and no log (`round` holds its consensus epoch);
+/// * the **tree's root** holds no device slots and no roster; its record
+///   is the anti-entropy payload its replicas compare by digest, bound to
+///   the shard map in force by `shard_fingerprint`.
+///
+/// Server-side quantities only.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ConsensusState {
+    /// Which server wrote the record: [`KIND_DISTRIBUTED`],
+    /// [`KIND_ASYNC`] or [`KIND_SHARDED`].
+    pub kind: u8,
     /// Structural fingerprint of the run (cohort shape + config).
     pub fingerprint: u64,
-    /// Fingerprint of the shard map in force.
-    pub shard_fingerprint: u64,
-    /// Election term of the leader that produced this state.
-    pub term: u32,
     /// Phase and phase-local progress.
-    pub phase: DistributedPhase,
-    /// Last aggregation round number used.
+    pub phase: Phase,
+    /// Last communication round number used (the async server's epoch).
     pub round: u32,
-    /// Zero-based index of the current CCCP round.
+    /// Zero-based index of the current CCCP round (the async server: of
+    /// the next one).
     pub cccp_round: u32,
     /// ADMM iterations completed inside the current CCCP round.
     pub iters_done: u32,
-    /// True once the current CCCP round's ADMM loop has finished and only
-    /// the objective push remains.
+    /// True once the current CCCP round's ADMM loop has finished (residual
+    /// break or iteration budget) and only the objective push remains.
     pub inner_done: bool,
     /// Total ADMM iterations across all CCCP rounds.
     pub admm_iterations: u64,
@@ -903,29 +430,39 @@ pub struct RootState {
     pub history: Vec<f64>,
     /// Per-ADMM-iteration residuals: (round, primal, dual).
     pub residuals: Vec<(u32, f64, f64)>,
-    /// Per-shard progress, indexed by shard.
+    /// Per-user scaled duals `u_t`.
+    pub us: Vec<Vector>,
+    /// Last per-user hyperplanes `w_t` accepted.
+    pub w_ts: Vec<Vector>,
+    /// Last per-user biases `v_t` accepted.
+    pub v_ts: Vec<Vector>,
+    /// Last per-user slack totals ξ_t accepted.
+    pub xi_ts: Vec<f64>,
+    /// Per-user CCCP anchors: each device's `w_t` at the start of the
+    /// current CCCP round. Empty when every anchor is the device's own
+    /// `w_ts` entry.
+    pub anchors: Vec<Vector>,
+    /// Broadcasts of the current CCCP round, oldest first.
+    pub log: Vec<BroadcastRecord>,
+    /// The device roster.
+    pub roster: Roster,
+    /// Tree: fingerprint of the shard map in force.
+    pub shard_fingerprint: u64,
+    /// Tree: election term of the leader that produced the record.
+    pub term: u32,
+    /// Tree: per-shard progress, indexed by shard.
     pub shards: Vec<ShardState>,
 }
 
-impl RootState {
+impl ConsensusState {
     /// Serializes into a framed checkpoint.
     #[must_use]
     pub fn encode(&self) -> CheckpointFile {
         let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_SHARDED, self.fingerprint));
+        file.push_section(SEC_CONTEXT, context_section(self.kind, self.fingerprint));
+
         let mut meta = Writer::new();
-        meta.put_u64(self.shard_fingerprint);
-        meta.put_u32(self.term);
-        match self.phase {
-            DistributedPhase::Admm => {
-                meta.put_u8(0);
-                meta.put_u32(0);
-            }
-            DistributedPhase::Refine { rounds_done } => {
-                meta.put_u8(1);
-                meta.put_u32(rounds_done);
-            }
-        }
+        put_phase(&mut meta, self.phase);
         meta.put_u32(self.round);
         meta.put_u32(self.cccp_round);
         meta.put_u32(self.iters_done);
@@ -933,126 +470,165 @@ impl RootState {
         meta.put_u64(self.admm_iterations);
         meta.put_u32(self.cccp_rounds);
         meta.put_bool(self.converged);
+        meta.put_u64(self.shard_fingerprint);
+        meta.put_u32(self.term);
         file.push_section(SEC_META, meta.into_bytes());
 
         let mut model = Writer::new();
         model.put_vector(&self.w0);
+        put_vectors(&mut model, &self.us);
+        put_vectors(&mut model, &self.w_ts);
+        put_vectors(&mut model, &self.v_ts);
+        model.put_f64s(&self.xi_ts);
+        put_vectors(&mut model, &self.anchors);
         file.push_section(SEC_MODEL, model.into_bytes());
 
         let mut hist = Writer::new();
         hist.put_f64s(&self.history);
-        hist.put_usize(self.residuals.len());
-        for &(round, primal, dual) in &self.residuals {
-            hist.put_u32(round);
-            hist.put_f64(primal);
-            hist.put_f64(dual);
-        }
+        put_list(&mut hist, &self.residuals, |w, &(round, primal, dual)| {
+            w.put_u32(round);
+            w.put_f64(primal);
+            w.put_f64(dual);
+        });
         file.push_section(SEC_HISTORY, hist.into_bytes());
 
+        let mut log = Writer::new();
+        put_list(&mut log, &self.log, |w, rec| {
+            w.put_u32(rec.round);
+            w.put_vector(&rec.w0);
+            put_vectors(w, &rec.us);
+        });
+        file.push_section(SEC_LOG, log.into_bytes());
+
         let mut roster = Writer::new();
-        roster.put_usize(self.shards.len());
-        for s in &self.shards {
-            roster.put_u32(s.shard);
-            roster.put_u64(s.n);
-            roster.put_u32(s.last_round);
-            roster.put_u64(s.partial_digest);
-            roster.put_u64(s.participation);
+        let ro = &self.roster;
+        put_list(&mut roster, &ro.alive, |w, &a| w.put_bool(a));
+        put_list(&mut roster, &ro.missed, |w, &m| w.put_u32(m));
+        roster.put_u64s(&ro.evicted);
+        put_list(&mut roster, &ro.participation, |w, p| {
+            w.put_u32(p.round);
+            w.put_u64(p.replied);
+            w.put_u64(p.alive);
+            w.put_u64(p.retries);
+        });
+        for counter in [ro.protocol_errors, ro.late_discards, ro.stale_discards, ro.reassignments] {
+            roster.put_u64(counter);
         }
+        put_list(&mut roster, &self.shards, |w, s| {
+            w.put_u32(s.shard);
+            w.put_u64(s.n);
+            w.put_u32(s.last_round);
+            w.put_u64(s.partial_digest);
+            w.put_u64(s.participation);
+        });
         file.push_section(SEC_ROSTER, roster.into_bytes());
         file
     }
 
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_SHARDED)?;
+    /// Reconstructs a record of `kind` from a verified checkpoint file; a
+    /// record another server wrote is [`CkptError::WrongKind`].
+    pub fn decode(file: &CheckpointFile, kind: u8) -> Result<Self, CkptError> {
+        let fingerprint = read_context(file, kind)?;
         let mut meta = Reader::new(file.section(SEC_META)?);
-        let shard_fingerprint = meta.get_u64("shard fingerprint")?;
-        let term = meta.get_u32("term")?;
-        let phase_byte = meta.get_u8("phase")?;
-        let rounds_done = meta.get_u32("refine rounds done")?;
-        let phase = match phase_byte {
-            0 => DistributedPhase::Admm,
-            1 => DistributedPhase::Refine { rounds_done },
-            other => {
-                return Err(CkptError::Malformed {
-                    detail: format!("unknown sharded phase byte {other}"),
-                })
-            }
-        };
-        let round = meta.get_u32("round")?;
-        let cccp_round = meta.get_u32("cccp_round")?;
-        let iters_done = meta.get_u32("iters_done")?;
-        let inner_done = meta.get_bool("inner_done")?;
-        let admm_iterations = meta.get_u64("admm_iterations")?;
-        let cccp_rounds = meta.get_u32("cccp_rounds")?;
-        let converged = meta.get_bool("converged")?;
-        meta.finish("meta section")?;
-
         let mut model = Reader::new(file.section(SEC_MODEL)?);
-        let w0 = model.get_vector("w0")?;
-        model.finish("model section")?;
-
         let mut hist = Reader::new(file.section(SEC_HISTORY)?);
-        let history = hist.get_f64s("objective history")?;
-        let res_len = hist.get_len(4 + 8 + 8, "residuals")?;
-        let mut residuals = Vec::with_capacity(res_len);
-        for _ in 0..res_len {
-            let r = hist.get_u32("residual round")?;
-            let primal = hist.get_f64("primal residual")?;
-            let dual = hist.get_f64("dual residual")?;
-            residuals.push((r, primal, dual));
-        }
-        hist.finish("history section")?;
-
-        let mut roster = Reader::new(file.section(SEC_ROSTER)?);
-        let shard_len = roster.get_len(4 + 8 + 4 + 8 + 8, "shard states")?;
-        let mut shards = Vec::with_capacity(shard_len);
-        for _ in 0..shard_len {
-            shards.push(ShardState {
-                shard: roster.get_u32("shard index")?,
-                n: roster.get_u64("shard alive count")?,
-                last_round: roster.get_u32("shard last round")?,
-                partial_digest: roster.get_u64("shard partial digest")?,
-                participation: roster.get_u64("shard participation")?,
-            });
-        }
-        roster.finish("roster section")?;
-
-        let state = RootState {
+        let mut log = Reader::new(file.section(SEC_LOG)?);
+        let mut ro = Reader::new(file.section(SEC_ROSTER)?);
+        // Struct fields evaluate in source order, which within each
+        // section reader is the byte order `encode` wrote.
+        let state = ConsensusState {
+            kind,
             fingerprint,
-            shard_fingerprint,
-            term,
-            phase,
-            round,
-            cccp_round,
-            iters_done,
-            inner_done,
-            admm_iterations,
-            cccp_rounds,
-            converged,
-            w0,
-            history,
-            residuals,
-            shards,
+            phase: get_phase(&mut meta)?,
+            round: meta.get_u32("round")?,
+            cccp_round: meta.get_u32("cccp_round")?,
+            iters_done: meta.get_u32("iters_done")?,
+            inner_done: meta.get_bool("inner_done")?,
+            admm_iterations: meta.get_u64("admm_iterations")?,
+            cccp_rounds: meta.get_u32("cccp_rounds")?,
+            converged: meta.get_bool("converged")?,
+            shard_fingerprint: meta.get_u64("shard fingerprint")?,
+            term: meta.get_u32("term")?,
+            w0: model.get_vector("w0")?,
+            us: get_vectors(&mut model, "duals")?,
+            w_ts: get_vectors(&mut model, "hyperplanes")?,
+            v_ts: get_vectors(&mut model, "biases")?,
+            xi_ts: model.get_f64s("slacks")?,
+            anchors: get_vectors(&mut model, "anchors")?,
+            history: hist.get_f64s("objective history")?,
+            residuals: get_list(&mut hist, 4 + 8 + 8, "residuals", |r| {
+                Ok((r.get_u32("residual round")?, r.get_f64("primal")?, r.get_f64("dual")?))
+            })?,
+            log: get_list(&mut log, 4 + 8 + 8, "broadcast log", |r| {
+                Ok(BroadcastRecord {
+                    round: r.get_u32("log round")?,
+                    w0: r.get_vector("log w0")?,
+                    us: get_vectors(r, "log duals")?,
+                })
+            })?,
+            roster: Roster {
+                alive: get_list(&mut ro, 1, "alive flags", |r| r.get_bool("alive flag"))?,
+                missed: get_list(&mut ro, 4, "missed strikes", |r| r.get_u32("missed strikes"))?,
+                evicted: ro.get_u64s("evicted roster")?,
+                participation: get_list(&mut ro, 4 + 8 + 8 + 8, "participation", |r| {
+                    Ok(ParticipationRecord {
+                        round: r.get_u32("participation round")?,
+                        replied: r.get_u64("participation replied")?,
+                        alive: r.get_u64("participation alive")?,
+                        retries: r.get_u64("participation retries")?,
+                    })
+                })?,
+                protocol_errors: ro.get_u64("protocol_errors")?,
+                late_discards: ro.get_u64("late_discards")?,
+                stale_discards: ro.get_u64("stale_discards")?,
+                reassignments: ro.get_u64("reassignments")?,
+            },
+            shards: get_list(&mut ro, 4 + 8 + 4 + 8 + 8, "shard states", |r| {
+                Ok(ShardState {
+                    shard: r.get_u32("shard index")?,
+                    n: r.get_u64("shard alive count")?,
+                    last_round: r.get_u32("shard last round")?,
+                    partial_digest: r.get_u64("shard partial digest")?,
+                    participation: r.get_u64("shard participation")?,
+                })
+            })?,
         };
+        meta.finish("meta section")?;
+        model.finish("model section")?;
+        hist.finish("history section")?;
+        log.finish("log section")?;
+        ro.finish("roster section")?;
         state.validate()?;
         Ok(state)
     }
 
-    /// FNV-1a digest of the full encoding — the anti-entropy comparison
-    /// value replicas exchange before deciding whether to ship state.
-    pub fn digest(&self) -> u64 {
-        crate::fnv1a(&self.encode().encode())
-    }
-
-    /// Cross-field consistency: shard entries must be indexed 0..S in
-    /// order (the fixed fold order the bit-parity guarantee rides on).
+    /// Cross-field consistency: every per-device list agrees on the cohort
+    /// size (0 at the tree's root), `anchors` is empty or cohort-sized, and
+    /// shard entries are indexed `0..S` in order (the fixed fold order the
+    /// bit-parity guarantee rides on).
     fn validate(&self) -> Result<(), CkptError> {
+        let t = self.us.len();
+        let lens = [
+            ("w_ts", self.w_ts.len()),
+            ("v_ts", self.v_ts.len()),
+            ("xi_ts", self.xi_ts.len()),
+            ("alive", self.roster.alive.len()),
+            ("missed", self.roster.missed.len()),
+        ];
+        let logged = self.log.iter().map(|rec| ("broadcast log duals", rec.us.len()));
+        for (name, len) in lens.into_iter().chain(logged) {
+            if len != t {
+                return Err(malformed(format!(
+                    "cohort size disagreement: us has {t}, {name} has {len}"
+                )));
+            }
+        }
+        if !self.anchors.is_empty() && self.anchors.len() != t {
+            return Err(malformed(format!("{} anchors for a cohort of {t}", self.anchors.len())));
+        }
         for (i, s) in self.shards.iter().enumerate() {
             if s.shard as usize != i {
-                return Err(CkptError::Malformed {
-                    detail: format!("shard entry {i} claims index {}", s.shard),
-                });
+                return Err(malformed(format!("shard entry {i} claims index {}", s.shard)));
             }
         }
         Ok(())
@@ -1071,17 +647,15 @@ mod tests {
         Vector::from(vec![a, b])
     }
 
-    fn sample_distributed() -> DistributedState {
-        DistributedState {
+    fn sample_star() -> ConsensusState {
+        ConsensusState {
+            kind: KIND_DISTRIBUTED,
             fingerprint: 0x1234_5678_9abc_def0,
-            phase: DistributedPhase::Admm,
             round: 7,
             cccp_round: 1,
             iters_done: 3,
-            inner_done: false,
             admm_iterations: 9,
             cccp_rounds: 2,
-            converged: false,
             w0: vec2(0.5, -0.5),
             us: vec![vec2(0.1, 0.2), vec2(-0.3, 0.0)],
             w_ts: vec![vec2(1.0, 2.0), vec2(3.0, 4.0)],
@@ -1093,37 +667,64 @@ mod tests {
                 w0: vec2(0.4, -0.4),
                 us: vec![vec2(0.0, 0.1), vec2(0.2, 0.3)],
             }],
-            alive: vec![true, false],
-            missed: vec![0, 3],
-            evicted: vec![1],
-            participation: vec![ParticipationRecord { round: 6, replied: 1, alive: 2, retries: 4 }],
-            protocol_errors: 2,
-            late_discards: 1,
+            roster: Roster {
+                alive: vec![true, false],
+                missed: vec![0, 3],
+                evicted: vec![1],
+                participation: vec![ParticipationRecord {
+                    round: 6,
+                    replied: 1,
+                    alive: 2,
+                    retries: 4,
+                }],
+                protocol_errors: 2,
+                late_discards: 1,
+                ..Roster::default()
+            },
             history: vec![10.0, 7.5],
             residuals: vec![(6, 0.9, 0.8), (7, 0.5, 0.4)],
+            ..ConsensusState::default()
         }
     }
 
-    #[test]
-    fn model_state_round_trips() {
-        let state = ModelState {
-            fingerprint: 42,
-            w0: vec2(1.5, -2.5),
-            biases: vec![vec2(0.0, -0.0), vec2(f64::MIN_POSITIVE, f64::MAX)],
-            bias_aug: Some(1.0),
-        };
-        let bytes = state.encode().encode();
-        let back = ModelState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
+    fn sample_async() -> ConsensusState {
+        ConsensusState {
+            kind: KIND_ASYNC,
+            anchors: Vec::new(),
+            log: Vec::new(),
+            residuals: Vec::new(),
+            roster: Roster {
+                missed: vec![0, 0],
+                participation: Vec::new(),
+                stale_discards: 5,
+                reassignments: 1,
+                ..sample_star().roster
+            },
+            ..sample_star()
+        }
     }
 
-    #[test]
-    fn model_state_zero_users_round_trips() {
-        let state =
-            ModelState { fingerprint: 0, w0: Vector::zeros(0), biases: Vec::new(), bias_aug: None };
+    fn sample_root() -> ConsensusState {
+        ConsensusState {
+            kind: KIND_SHARDED,
+            fingerprint: 0xd00d_f00d_0000_0001,
+            shard_fingerprint: 0xabcd_ef01_2345_6789,
+            term: 2,
+            round: 11,
+            w0: vec2(0.75, -0.125),
+            history: vec![12.0, 9.5],
+            residuals: vec![(10, 0.7, 0.6), (11, 0.3, 0.2)],
+            shards: vec![
+                ShardState { shard: 0, n: 3, last_round: 11, partial_digest: 77, participation: 3 },
+                ShardState { shard: 1, n: 2, last_round: 11, partial_digest: 88, participation: 2 },
+            ],
+            ..ConsensusState::default()
+        }
+    }
+
+    fn round_trip(state: &ConsensusState) -> Result<ConsensusState, CkptError> {
         let bytes = state.encode().encode();
-        let back = ModelState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
+        ConsensusState::decode(&CheckpointFile::decode(&bytes).unwrap(), state.kind)
     }
 
     #[test]
@@ -1161,7 +762,7 @@ mod tests {
 
     #[test]
     fn centralized_state_round_trips_both_phases() {
-        for phase in [CentralizedPhase::Cccp, CentralizedPhase::Refine { rounds_done: 2 }] {
+        for phase in [Phase::Cccp, Phase::Refine { rounds_done: 2 }] {
             let state = CentralizedState {
                 fingerprint: 99,
                 phase,
@@ -1180,155 +781,49 @@ mod tests {
     }
 
     #[test]
-    fn distributed_state_round_trips() {
-        let state = sample_distributed();
-        let bytes = state.encode().encode();
-        let back = DistributedState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
-    }
-
-    fn sample_async() -> AsyncState {
-        AsyncState {
-            fingerprint: 0xfeed_face_cafe_beef,
-            phase: DistributedPhase::Admm,
-            epoch: 31,
-            cccp_round: 2,
-            admm_epochs: 28,
-            cccp_rounds: 2,
-            converged: false,
-            stale_discards: 5,
-            late_discards: 3,
-            reassignments: 1,
-            protocol_errors: 0,
-            w0: vec2(0.5, -0.5),
-            us: vec![vec2(0.1, 0.2), vec2(-0.3, 0.0)],
-            w_ts: vec![vec2(1.0, 2.0), vec2(3.0, 4.0)],
-            v_ts: vec![vec2(0.0, -0.0), vec2(f64::MAX, f64::MIN)],
-            xi_ts: vec![0.25, 1e-300],
-            alive: vec![true, false],
-            evicted: vec![1],
-            history: vec![10.0, 7.5],
+    fn every_server_shape_round_trips_in_both_phases() {
+        for sample in [sample_star(), sample_async(), sample_root()] {
+            for phase in [Phase::Cccp, Phase::Refine { rounds_done: 3 }] {
+                let state = ConsensusState { phase, ..sample.clone() };
+                assert_eq!(round_trip(&state).unwrap(), state);
+            }
         }
-    }
-
-    #[test]
-    fn async_state_round_trips_both_phases() {
-        for phase in [DistributedPhase::Admm, DistributedPhase::Refine { rounds_done: 1 }] {
-            let state = AsyncState { phase, ..sample_async() };
-            let bytes = state.encode().encode();
-            let back = AsyncState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-            assert_eq!(back, state);
-        }
-    }
-
-    #[test]
-    fn async_cohort_size_disagreement_rejected() {
-        let mut state = sample_async();
-        state.xi_ts.push(0.0);
-        let bytes = state.encode().encode();
-        assert!(matches!(
-            AsyncState::decode(&CheckpointFile::decode(&bytes).unwrap()),
-            Err(CkptError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn async_wrong_kind_is_typed() {
-        let file = sample_distributed().encode();
-        assert_eq!(
-            AsyncState::decode(&file).unwrap_err(),
-            CkptError::WrongKind { found: KIND_DISTRIBUTED, expected: KIND_ASYNC }
-        );
-    }
-
-    #[test]
-    fn wrong_kind_is_typed() {
-        let model = ModelState {
-            fingerprint: 1,
-            w0: vec2(1.0, 2.0),
-            biases: vec![vec2(0.0, 0.0)],
-            bias_aug: None,
-        };
-        let file = model.encode();
-        assert_eq!(
-            DistributedState::decode(&file).unwrap_err(),
-            CkptError::WrongKind { found: KIND_MODEL, expected: KIND_DISTRIBUTED }
-        );
-    }
-
-    fn sample_root() -> RootState {
-        RootState {
-            fingerprint: 0xd00d_f00d_0000_0001,
-            shard_fingerprint: 0xabcd_ef01_2345_6789,
-            term: 2,
-            phase: DistributedPhase::Admm,
-            round: 11,
-            cccp_round: 1,
-            iters_done: 4,
-            inner_done: false,
-            admm_iterations: 14,
-            cccp_rounds: 2,
-            converged: false,
-            w0: vec2(0.75, -0.125),
-            history: vec![12.0, 9.5],
-            residuals: vec![(10, 0.7, 0.6), (11, 0.3, 0.2)],
-            shards: vec![
-                ShardState { shard: 0, n: 3, last_round: 11, partial_digest: 77, participation: 3 },
-                ShardState { shard: 1, n: 2, last_round: 11, partial_digest: 88, participation: 2 },
-            ],
-        }
-    }
-
-    #[test]
-    fn root_state_round_trips_both_phases() {
-        for phase in [DistributedPhase::Admm, DistributedPhase::Refine { rounds_done: 3 }] {
-            let state = RootState { phase, ..sample_root() };
-            let bytes = state.encode().encode();
-            let back = RootState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-            assert_eq!(back, state);
-        }
-    }
-
-    #[test]
-    fn root_state_digest_tracks_content() {
-        let a = sample_root();
-        let mut b = sample_root();
-        assert_eq!(a.digest(), b.digest(), "equal state, equal digest");
-        b.round += 1;
-        assert_ne!(a.digest(), b.digest(), "round change must move the digest");
-        let mut c = sample_root();
-        c.shard_fingerprint ^= 1;
-        assert_ne!(a.digest(), c.digest(), "shard-map change must move the digest");
-    }
-
-    #[test]
-    fn root_state_out_of_order_shards_rejected() {
-        let mut state = sample_root();
-        state.shards.swap(0, 1);
-        let bytes = state.encode().encode();
-        assert!(matches!(
-            RootState::decode(&CheckpointFile::decode(&bytes).unwrap()),
-            Err(CkptError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn root_state_wrong_kind_is_typed() {
-        let file = sample_distributed().encode();
-        assert_eq!(
-            RootState::decode(&file).unwrap_err(),
-            CkptError::WrongKind { found: KIND_DISTRIBUTED, expected: KIND_SHARDED }
-        );
     }
 
     #[test]
     fn cohort_size_disagreement_rejected() {
-        let mut state = sample_distributed();
-        state.xi_ts.push(0.0);
-        let bytes = state.encode().encode();
-        assert!(matches!(
-            DistributedState::decode(&CheckpointFile::decode(&bytes).unwrap()),
-            Err(CkptError::Malformed { .. })
-        ));
+        let mut star = sample_star();
+        star.xi_ts.push(0.0);
+        let mut logged = sample_star();
+        logged.log[0].us.pop();
+        let mut async_missed = sample_async();
+        async_missed.roster.missed.clear();
+        let mut anchors = sample_star();
+        anchors.anchors.pop();
+        for state in [star, logged, async_missed, anchors] {
+            assert!(matches!(round_trip(&state), Err(CkptError::Malformed { .. })), "{state:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_order_shards_rejected() {
+        let mut state = sample_root();
+        state.shards.swap(0, 1);
+        assert!(matches!(round_trip(&state), Err(CkptError::Malformed { .. })));
+    }
+
+    #[test]
+    fn a_record_from_another_server_is_the_wrong_kind() {
+        let file = sample_star().encode();
+        for kind in [KIND_ASYNC, KIND_SHARDED] {
+            assert_eq!(
+                ConsensusState::decode(&file, kind).unwrap_err(),
+                CkptError::WrongKind { found: KIND_DISTRIBUTED, expected: kind }
+            );
+        }
+        assert_eq!(
+            CentralizedState::decode(&file).unwrap_err(),
+            CkptError::WrongKind { found: KIND_DISTRIBUTED, expected: KIND_CENTRALIZED }
+        );
     }
 }

@@ -34,20 +34,21 @@
 //! `tests/fault_tolerance.rs`.
 //!
 //! Checkpointing snapshots the consensus state at CCCP and refinement
-//! boundaries ([`plos_ckpt::AsyncState`]); at a boundary the server-held
-//! `w_t` slots equal each device's own anchor, so a `Restore` handshake
-//! re-seats a resumed fleet and the run continues with bit-parity
-//! (fault-free runs).
+//! boundaries, as the [`plos_ckpt::ConsensusState`] record the flat star
+//! also writes; at a boundary the server-held `w_t` slots equal each
+//! device's own anchor, so the record keeps no separate anchors and a
+//! `Restore` handshake re-seats a resumed fleet: the run continues with
+//! bit-parity (fault-free runs).
 
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
 use crate::config::{FaultTolerance, PlosConfig};
-use crate::consensus::{self, splitmix64, Cohort, Slots};
+use crate::consensus::{self, splitmix64, Cohort, Consensus, Slots};
 use crate::distributed::{Fleet, Gather, Reply};
 use crate::error::CoreError;
 use crate::local::{LocalSolver, LocalUpdate};
 use crate::model::PersonalizedModel;
 use crate::wire_u32;
-use plos_ckpt::{AsyncState, DistributedPhase, KIND_ASYNC};
+use plos_ckpt::{ConsensusState, Phase, KIND_ASYNC};
 use plos_linalg::Vector;
 use plos_net::{
     DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan, Message, TrafficStats,
@@ -359,7 +360,6 @@ struct Collect<'c> {
     quiet_deadline: Instant,
     resend_at: Instant,
     resend: &'c dyn Fn(usize) -> Message,
-    stale_discards: &'c mut u64,
     accepted: Vec<Reply>,
 }
 
@@ -417,7 +417,7 @@ impl Gather for Collect<'_> {
             if staleness <= self.staleness_bound {
                 self.accepted.push((t, w_t, v_t, xi_t));
             } else {
-                *self.stale_discards = self.stale_discards.saturating_add(1);
+                fleet.stale_discards = fleet.stale_discards.saturating_add(1);
                 if plos_obs::enabled() {
                     plos_obs::emit(
                         "stale_discard",
@@ -435,21 +435,18 @@ impl Gather for Collect<'_> {
     }
 }
 
-/// The assignment ledger: which epoch each device owes a reply to, the
-/// current epoch, and the server-side discard/reassignment counters.
+/// The assignment ledger: which epoch each device owes a reply to.
 struct Ledger {
     outstanding: Vec<Option<u32>>,
-    epoch: u32,
-    stale_discards: u64,
-    reassignments: u64,
 }
 
 impl Ledger {
-    /// One collection over the outstanding assignments of the current
-    /// epoch (see [`Collect`]). Returns the updates to fold.
+    /// One collection over the outstanding assignments of `epoch` (see
+    /// [`Collect`]). Returns the updates to fold.
     fn collect(
         &mut self,
         fleet: &mut Fleet<'_>,
+        epoch: u32,
         staleness_bound: u32,
         (quiet_window, barrier): (Duration, bool),
         resend: &dyn Fn(usize) -> Message,
@@ -460,7 +457,7 @@ impl Ledger {
         let started = Instant::now();
         let mut collect = Collect {
             outstanding: &mut self.outstanding,
-            epoch: self.epoch,
+            epoch,
             staleness_bound,
             barrier,
             quiet_window,
@@ -468,67 +465,18 @@ impl Ledger {
             quiet_deadline: started + quiet_window,
             resend_at: started + RESEND_AFTER,
             resend,
-            stale_discards: &mut self.stale_discards,
             accepted: Vec::new(),
         };
-        fleet.poll(self.epoch, &mut collect)?;
+        fleet.poll(epoch, &mut collect)?;
         Ok(collect.accepted)
     }
 
-    /// Marks every live device as owing a reply to the current epoch.
-    fn await_all(&mut self, fleet: &Fleet<'_>) {
+    /// Marks every live device as owing a reply to `epoch`.
+    fn await_all(&mut self, fleet: &Fleet<'_>, epoch: u32) {
         for (t, slot) in self.outstanding.iter_mut().enumerate() {
             if fleet.is_alive(t) {
-                *slot = Some(self.epoch);
+                *slot = Some(epoch);
             }
-        }
-    }
-}
-
-/// The async server's consensus state: with the ledger and the roster,
-/// exactly what an [`AsyncState`] snapshot records.
-struct AsyncRun {
-    slots: Slots,
-    w0: Vector,
-    history: History,
-    admm_iterations: usize,
-    converged: bool,
-    cccp_rounds: usize,
-    ledger: Ledger,
-}
-
-impl AsyncRun {
-    /// The boundary snapshot a resumed run restarts from.
-    fn snapshot(
-        &self,
-        fingerprint: u64,
-        phase: DistributedPhase,
-        cccp_round: u32,
-        fleet: &Fleet<'_>,
-    ) -> AsyncState {
-        AsyncState {
-            fingerprint,
-            phase,
-            epoch: self.ledger.epoch,
-            cccp_round,
-            admm_epochs: self.admm_iterations as u64,
-            cccp_rounds: wire_u32(self.cccp_rounds),
-            converged: self.converged,
-            stale_discards: self.ledger.stale_discards,
-            late_discards: fleet.late_discards,
-            reassignments: self.ledger.reassignments,
-            protocol_errors: fleet.protocol_errors,
-            w0: self.w0.clone(),
-            us: self.slots.u.clone(),
-            // At a CCCP boundary (fault-free) and after refinement each
-            // device's anchor is its own last w_t, so these slots are what
-            // a resumed server hands back.
-            w_ts: self.slots.w.clone(),
-            v_ts: self.slots.v.clone(),
-            xi_ts: self.slots.xi.clone(),
-            alive: fleet.alive.clone(),
-            evicted: fleet.evicted.iter().map(|&t| t as u64).collect(),
-            history: self.history.values().to_vec(),
         }
     }
 }
@@ -615,25 +563,14 @@ impl AsyncDistributedPlos {
         let cohort = Cohort::prepare(dataset, plan, &self.config)?;
         let (t_count, dim) = (cohort.t_count, cohort.dim);
         let fingerprint = async_fingerprint(&self.config, &self.spec, t_count, dim);
-        let (session, resume) = consensus::open_checkpoint(self.ckpt.as_ref(), "async", |file| {
-            let state = AsyncState::decode(file).map_err(CoreError::Ckpt)?;
-            checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
-            let slots = [&state.us, &state.w_ts, &state.v_ts];
-            let mut lens =
-                slots.map(Vec::len).into_iter().chain([state.xi_ts.len(), state.alive.len()]);
-            let counts_ok = lens.all(|n| n == t_count);
-            let vectors = std::iter::once(&state.w0).chain(slots.into_iter().flatten());
-            consensus::check_shape(counts_ok, vectors, t_count, dim)?;
-            plos_obs::emit(
-                "checkpoint_resume",
-                &[
-                    ("trainer", "async".to_string().into()),
-                    ("epoch", state.epoch.into()),
-                    ("cccp_round", state.cccp_round.into()),
-                ],
-            );
-            Ok(state)
-        })?;
+        let (session, resume) = consensus::open_consensus(
+            self.ckpt.as_ref(),
+            "async",
+            KIND_ASYNC,
+            fingerprint,
+            t_count,
+            dim,
+        )?;
 
         let spec = self.spec;
         let (server_out, exits) = cohort.run(
@@ -696,7 +633,7 @@ impl AsyncDistributedPlos {
         dim: usize,
         plan: &FaultPlan,
         fingerprint: u64,
-        resume: Option<AsyncState>,
+        resume: Option<ConsensusState>,
         mut session: Option<CkptSession>,
     ) -> Result<(PersonalizedModel, AsyncReport), CoreError> {
         let mut fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default());
@@ -706,53 +643,35 @@ impl AsyncDistributedPlos {
         let barrier = (SERVER_WAIT, true);
         let pass = if bound == 0 { barrier } else { (self.spec.poll_window, false) };
         let pass_cap = self.config.max_admm_iters.saturating_mul(PASS_CAP_FACTOR);
-
-        let mut run = AsyncRun {
-            slots: Slots::new(t_count, dim),
-            w0: Vector::zeros(dim),
-            history: History::new(),
-            admm_iterations: 0,
-            converged: false,
-            cccp_rounds: 0,
-            ledger: Ledger {
-                outstanding: vec![None; t_count],
-                epoch: 0,
-                stale_discards: 0,
-                reassignments: 0,
-            },
+        // Boundary snapshot: the consensus header, the slots and the roster.
+        let mut save = |st: &Consensus, slots: &Slots, fleet: &Fleet<'_>| match session.as_mut() {
+            Some(sess) => {
+                sess.save(&st.record(KIND_ASYNC, fingerprint, Some((slots, fleet))).encode())
+            }
+            None => Ok(()),
         };
+
+        let mut ledger = Ledger { outstanding: vec![None; t_count] };
+        // The consensus state (its `round` is the epoch) and device slots.
+        let (mut st, mut slots) = (Consensus::new(dim), Slots::new(t_count, dim));
         let (mut start_cccp, mut refine_start, mut skip_advance) = (0, 0, false);
-        if let Some(st) = resume {
+        if let Some(mut rec) = resume {
             // Adopt the checkpointed roster, then reposition the survivors:
             // at a CCCP/refinement boundary every device's own anchor
             // equals the server-held w_t slot, so the Restore handshake
             // re-seats the fleet exactly.
-            for (flag, &stored) in fleet.alive.iter_mut().zip(&st.alive) {
-                *flag = stored;
-            }
-            fleet.evicted =
-                st.evicted.iter().map(|&t| usize::try_from(t).unwrap_or(usize::MAX)).collect();
-            fleet.protocol_errors = st.protocol_errors;
-            fleet.late_discards = st.late_discards;
-            let restore = fleet.send_restore(st.epoch, st.w_ts.clone(), dim);
-            run.ledger.epoch = st.epoch;
-            run.ledger.await_all(&fleet);
-            run.ledger.collect(&mut fleet, bound, barrier, &restore)?;
-            run.ledger.stale_discards = st.stale_discards;
-            run.ledger.reassignments = st.reassignments;
-            run.slots = Slots { dim, w: st.w_ts, v: st.v_ts, xi: st.xi_ts, u: st.us };
-            run.w0 = st.w0;
-            run.history = History::from_values(st.history);
-            run.admm_iterations = st.admm_epochs as usize;
-            run.converged = st.converged;
-            run.cccp_rounds = st.cccp_rounds as usize;
+            fleet.restore_roster(&rec.roster);
+            let restore = fleet.send_restore(&rec, dim);
+            ledger.await_all(&fleet, rec.round);
+            ledger.collect(&mut fleet, rec.round, bound, barrier, &restore)?;
+            (st, slots) = Consensus::from_record(&mut rec);
             (start_cccp, refine_start, skip_advance) = match st.phase {
                 // The handshake already repositioned every device at its
                 // boundary anchor; sending CccpAdvance again would
                 // double-linearize.
-                DistributedPhase::Admm => (st.cccp_round as usize, 0, true),
-                DistributedPhase::Refine { rounds_done } => {
-                    (self.config.max_cccp_rounds, rounds_done, false)
+                Phase::Cccp => (st.cccp_round as usize, 0, true),
+                Phase::Refine { rounds_done } => {
+                    (self.config.max_cccp_rounds, rounds_done as usize, false)
                 }
             };
         } else {
@@ -766,19 +685,19 @@ impl AsyncDistributedPlos {
                 u_t: zero.clone(),
             };
             fleet.send_alive(&init);
-            run.ledger.await_all(&fleet);
-            let replies = run.ledger.collect(&mut fleet, bound, barrier, &init)?;
+            ledger.await_all(&fleet, 0);
+            let replies = ledger.collect(&mut fleet, 0, bound, barrier, &init)?;
             fleet.publish_roster();
             let (sum, contributors) = consensus::init_sum(replies.iter().map(|r| &r.1), dim);
-            run.w0 = consensus::init_w0(&sum, contributors, self.config.seed);
+            st.w0 = consensus::init_w0(&sum, contributors, self.config.seed);
         }
 
         // ---- CCCP × bounded-staleness ADMM passes ----
         for cccp_round in start_cccp..self.config.max_cccp_rounds {
-            if run.converged {
+            if st.converged {
                 break;
             }
-            run.cccp_rounds += 1;
+            st.cccp_rounds += 1;
             if cccp_round > 0 && !skip_advance {
                 fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round: wire_u32(cccp_round) });
                 fleet.publish_roster();
@@ -786,21 +705,20 @@ impl AsyncDistributedPlos {
             skip_advance = false;
             // The linearization changed: every in-flight assignment is
             // void, and its eventual reply a late discard.
-            run.ledger.outstanding.fill(None);
+            ledger.outstanding.fill(None);
 
             let mut applied = 0usize;
             let mut passes = 0usize;
             while applied < self.config.max_admm_iters && passes < pass_cap {
                 passes += 1;
-                let ledger = &mut run.ledger;
-                ledger.epoch = ledger.epoch.saturating_add(1);
-                let epoch = ledger.epoch;
+                st.round = st.round.saturating_add(1);
+                let epoch = st.round;
                 // The same assignment serves the barrier re-sends.
                 let assignment = |t: usize| Message::AsyncBroadcast {
                     epoch,
                     staleness_bound: bound,
-                    w0: run.w0.clone(),
-                    u_t: run.slots.u.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+                    w0: st.w0.clone(),
+                    u_t: slots.u.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
                 };
                 // Assign: devices with nothing in flight get this epoch's
                 // (w0, u_t); devices whose outstanding assignment fell more
@@ -812,7 +730,7 @@ impl AsyncDistributedPlos {
                     let assign = match ledger.outstanding.get(t) {
                         Some(None) => true,
                         Some(Some(at)) if epoch.saturating_sub(*at) > bound => {
-                            ledger.reassignments = ledger.reassignments.saturating_add(1);
+                            fleet.reassignments = fleet.reassignments.saturating_add(1);
                             true
                         }
                         _ => false,
@@ -826,7 +744,7 @@ impl AsyncDistributedPlos {
                 }
                 fleet.publish_roster();
 
-                let arrived = ledger.collect(&mut fleet, bound, pass, &assignment)?;
+                let arrived = ledger.collect(&mut fleet, epoch, bound, pass, &assignment)?;
                 let folded = arrived.len();
                 fleet.publish_roster();
                 if folded == 0 {
@@ -843,21 +761,21 @@ impl AsyncDistributedPlos {
                 // synchronous iteration verbatim.
                 let mut refresh = vec![false; t_count];
                 for (t, w, v, xi) in arrived {
-                    run.slots.store(t, w, v, xi);
+                    slots.store(t, w, v, xi);
                     if let Some(flag) = refresh.get_mut(t) {
                         *flag = fleet.is_alive(t);
                     }
                 }
                 applied += 1;
-                run.admm_iterations += 1;
+                st.admm_iterations += 1;
 
                 // Eq. (23)/(24) over the live cohort; every T-dependent
                 // scalar uses the shrunk size.
                 let cohort = fleet.alive_count();
-                let w0_new = consensus::admm_w0(&run.slots.admm_sum(&fleet.alive), cohort, rho);
-                let dual = consensus::dual_residual(&w0_new, &run.w0, cohort, rho);
-                let primal = run.slots.u_update(&w0_new, &refresh).value().sqrt();
-                run.w0 = w0_new;
+                let w0_new = consensus::admm_w0(&slots.admm_sum(&fleet.alive), cohort, rho);
+                let dual = consensus::dual_residual(&w0_new, &st.w0, cohort, rho);
+                let primal = slots.u_update(&w0_new, &refresh).value().sqrt();
+                st.w0 = w0_new;
                 if plos_obs::enabled() {
                     plos_obs::emit(
                         "async_round",
@@ -876,25 +794,23 @@ impl AsyncDistributedPlos {
                 }
             }
 
-            let (v_sq, xi) = run.slots.objective_sums(&fleet.alive);
-            let objective = consensus::objective(&run.w0, fleet.alive_count(), lambda, &v_sq, &xi);
-            run.history.push(objective);
+            let (v_sq, xi) = slots.objective_sums(&fleet.alive);
+            let objective = consensus::objective(&st.w0, fleet.alive_count(), lambda, &v_sq, &xi);
+            st.history.push(objective);
             plos_obs::emit(
                 "cccp_round",
-                &[("round", run.cccp_rounds.into()), ("objective", objective.into())],
+                &[("round", st.cccp_rounds.into()), ("objective", objective.into())],
             );
-            if run.history.converged(self.config.cccp_tol) {
-                run.converged = true;
+            if st.history.converged(self.config.cccp_tol) {
+                st.converged = true;
             }
-            // CCCP boundary snapshot: at this point the server-held w_t
-            // slots equal each live device's own anchor (fault-free), which
-            // is what makes the Restore handshake above exact.
-            if let Some(sess) = session.as_mut() {
-                let phase = DistributedPhase::Admm;
-                let state = run.snapshot(fingerprint, phase, wire_u32(cccp_round + 1), &fleet);
-                sess.save(&state.encode())?;
-            }
-            if run.converged {
+            // CCCP boundary snapshot, resuming at the next round: at this
+            // point the server-held w_t slots equal each live device's own
+            // anchor (fault-free), which is what makes the Restore
+            // handshake above exact.
+            st.cccp_round = wire_u32(cccp_round + 1);
+            save(&st, &slots, &fleet)?;
+            if st.converged {
                 break;
             }
         }
@@ -902,35 +818,32 @@ impl AsyncDistributedPlos {
         // ---- Refinement: always a barrier, always fresh — it anchors the
         // final model, and keeping it synchronous is what pins the S > 0
         // accuracy band to the synchronous protocol's. ----
-        for refine_round in refine_start as usize..self.config.refine_rounds {
-            let ledger = &mut run.ledger;
-            ledger.epoch = ledger.epoch.saturating_add(1);
+        for refine_round in refine_start..self.config.refine_rounds {
+            st.round = st.round.saturating_add(1);
             ledger.outstanding.fill(None);
-            let round = ledger.epoch;
-            let refine = |_t: usize| Message::Refine { round, w0: run.w0.clone() };
+            let round = st.round;
+            let refine = |_t: usize| Message::Refine { round, w0: st.w0.clone() };
             fleet.send_alive(&refine);
-            ledger.await_all(&fleet);
-            for (t, w, v, xi) in ledger.collect(&mut fleet, bound, barrier, &refine)? {
-                run.slots.store(t, w, v, xi);
+            ledger.await_all(&fleet, round);
+            for (t, w, v, xi) in ledger.collect(&mut fleet, round, bound, barrier, &refine)? {
+                slots.store(t, w, v, xi);
             }
             fleet.publish_roster();
 
             let cohort = fleet.alive_count();
-            run.w0 = consensus::refine_w0(&run.slots.refine_sum(&fleet.alive), cohort, lambda);
+            st.w0 = consensus::refine_w0(&slots.refine_sum(&fleet.alive), cohort, lambda);
             // xi_ts now carry true local losses, so this is the true
             // objective in the problem-(3) scale.
-            let (dist, xi) = run.slots.refine_sums(&run.w0, &fleet.alive);
-            let objective = consensus::objective(&run.w0, cohort, lambda, &dist, &xi);
-            run.history.push(objective);
+            let (dist, xi) = slots.refine_sums(&st.w0, &fleet.alive);
+            let objective = consensus::objective(&st.w0, cohort, lambda, &dist, &xi);
+            st.history.push(objective);
             plos_obs::emit(
                 "refine_round",
                 &[("round", (refine_round + 1).into()), ("objective", objective.into())],
             );
-            if let Some(sess) = session.as_mut() {
-                let phase = DistributedPhase::Refine { rounds_done: wire_u32(refine_round + 1) };
-                let cccp_round = wire_u32(self.config.max_cccp_rounds);
-                sess.save(&run.snapshot(fingerprint, phase, cccp_round, &fleet).encode())?;
-            }
+            st.phase = Phase::Refine { rounds_done: wire_u32(refine_round + 1) };
+            st.cccp_round = wire_u32(self.config.max_cccp_rounds);
+            save(&st, &slots, &fleet)?;
         }
 
         fleet.shutdown();
@@ -938,18 +851,18 @@ impl AsyncDistributedPlos {
             sess.clear()?;
         }
 
-        let model = consensus::assemble_model(run.w0, &run.slots.w, &fleet.alive, self.config.bias);
+        let model = consensus::assemble_model(st.w0, &slots.w, &fleet.alive, self.config.bias);
         let report = AsyncReport {
             per_user_traffic: Vec::new(), // filled by fit()
-            admm_iterations: run.admm_iterations,
-            cccp_rounds: run.cccp_rounds,
-            history: run.history,
-            converged: run.converged,
+            admm_iterations: st.admm_iterations,
+            cccp_rounds: st.cccp_rounds,
+            history: st.history,
+            converged: st.converged,
             stale_replies: Vec::new(), // filled by fit()
             fresh_replies: Vec::new(), // filled by fit()
-            stale_discards: run.ledger.stale_discards,
+            stale_discards: fleet.stale_discards,
             late_discards: fleet.late_discards,
-            reassignments: run.ledger.reassignments,
+            reassignments: fleet.reassignments,
             protocol_errors: fleet.protocol_errors,
             evicted: fleet.evicted,
             panicked: Vec::new(),       // filled by fit()

@@ -20,7 +20,7 @@ use crate::error::CoreError;
 use crate::model::PersonalizedModel;
 use crate::problem::{self, Prepared};
 use crate::wire_u32;
-use plos_ckpt::{CentralizedPhase, CentralizedState, CkptError, KIND_CENTRALIZED};
+use plos_ckpt::{CentralizedState, CkptError, Phase, KIND_CENTRALIZED};
 use plos_linalg::Vector;
 use plos_ml::svm::{LinearSvm, SvmParams};
 use plos_opt::{Cccp, History};
@@ -152,16 +152,10 @@ impl CentralizedPlos {
                 let st = CentralizedState::decode(file)?;
                 checkpoint::check_fingerprint(st.fingerprint, fingerprint)?;
                 validate_restored(&st, t_count, dim)?;
-                plos_obs::emit(
-                    "checkpoint_resume",
-                    &[
-                        ("kind", "centralized".into()),
-                        ("cccp_rounds", u64::from(st.cccp_rounds).into()),
-                    ],
-                );
+                checkpoint::emit_resume("centralized", 0, st.cccp_rounds);
                 Ok(match st.phase {
-                    CentralizedPhase::Cccp => ResumePoint::MidCccp(Box::new(st)),
-                    CentralizedPhase::Refine { rounds_done } => {
+                    Phase::Cccp => ResumePoint::MidCccp(Box::new(st)),
+                    Phase::Refine { rounds_done } => {
                         ResumePoint::MidRefine(Box::new(st), rounds_done)
                     }
                 })
@@ -294,7 +288,7 @@ impl CentralizedPlos {
             if let Some(sess) = session.as_mut() {
                 let snapshot = CentralizedState {
                     fingerprint,
-                    phase: CentralizedPhase::Refine { rounds_done: wire_u32(round + 1) },
+                    phase: Phase::Refine { rounds_done: wire_u32(round + 1) },
                     w0: w0.clone(),
                     vectors: w_ts.clone(),
                     history: history.values().to_vec(),
@@ -422,7 +416,7 @@ impl CentralizedPlos {
             if let Some(sess) = session.as_mut() {
                 let snapshot = CentralizedState {
                     fingerprint,
-                    phase: CentralizedPhase::Cccp,
+                    phase: Phase::Cccp,
                     w0: solution.w0.clone(),
                     vectors: solution.vs.clone(),
                     history: saved_history.clone(),

@@ -161,6 +161,20 @@ pub(crate) fn check_fingerprint(found: u64, expected: u64) -> Result<(), CoreErr
     Ok(())
 }
 
+/// The one `checkpoint_resume` emitter: which trainer resumed, at which
+/// communication round (0 for the centralized trainer, which has none) and
+/// which CCCP round.
+pub(crate) fn emit_resume(trainer: &str, round: u32, cccp_round: u32) {
+    plos_obs::emit(
+        "checkpoint_resume",
+        &[
+            ("trainer", trainer.to_string().into()),
+            ("round", round.into()),
+            ("cccp_round", cccp_round.into()),
+        ],
+    );
+}
+
 #[cfg(test)]
 mod tests {
     // Unit tests assert by panicking on failure; the workspace-wide

@@ -17,16 +17,16 @@
 //! * [`Cohort`] — the fit scaffold: plan validation, data preparation, the
 //!   seed-salted per-device solvers and the device run.
 
-use crate::checkpoint::{CheckpointPolicy, CkptSession};
+use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
 use crate::config::PlosConfig;
-use crate::distributed::{AdmmResiduals, RoundParticipation};
+use crate::distributed::{AdmmResiduals, Fleet, RoundParticipation};
 use crate::error::CoreError;
 use crate::local::LocalSolver;
 use crate::model::PersonalizedModel;
 use crate::problem::{self, PreparedUser};
 use crate::wire_u32;
 use parking_lot::Mutex;
-use plos_ckpt::{CheckpointFile, CkptError, DistributedPhase};
+use plos_ckpt::{CheckpointFile, CkptError, ConsensusState, Phase};
 use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{try_star, ClientExit, DeviceMachine, DeviceRuntime, Endpoint, FaultPlan};
@@ -221,9 +221,10 @@ pub(crate) fn refine_w0(sum: &ExactVecSum, cohort: usize, lambda: f64) -> Vector
     mean.scaled(lambda / (1.0 + lambda))
 }
 
-/// Root-side state of a sync consensus run. Its coordinates (`round`,
-/// `cccp_round`, `iters_done`, `inner_done`, `phase`) are what the star's
-/// checkpoints and the tree's anti-entropy snapshots record.
+/// Root-side state of a consensus run — sync or async (whose `round` is
+/// its epoch). It is the common header of every [`ConsensusState`] record:
+/// the star's and the async server's checkpoints and the tree's
+/// anti-entropy snapshots.
 pub(crate) struct Consensus {
     pub(crate) w0: Vector,
     pub(crate) history: History,
@@ -240,7 +241,7 @@ pub(crate) struct Consensus {
     /// The current CCCP round's ADMM loop finished; only the objective
     /// push remains.
     pub(crate) inner_done: bool,
-    pub(crate) phase: DistributedPhase,
+    pub(crate) phase: Phase,
     /// Root-side fold time.
     pub(crate) server_compute: Duration,
 }
@@ -258,19 +259,75 @@ impl Consensus {
             cccp_round: 0,
             iters_done: 0,
             inner_done: false,
-            phase: DistributedPhase::Admm,
+            phase: Phase::Cccp,
             server_compute: Duration::ZERO,
         }
     }
 
-    /// The residual log in checkpoint form.
-    pub(crate) fn residual_records(&self) -> Vec<(u32, f64, f64)> {
-        self.residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect()
+    /// This state as a snapshot record of `kind`: the common header, plus
+    /// the device slots and roster of a star-shaped server. Every other
+    /// part is left empty.
+    pub(crate) fn record(
+        &self,
+        kind: u8,
+        fingerprint: u64,
+        star: Option<(&Slots, &Fleet<'_>)>,
+    ) -> ConsensusState {
+        let mut rec = ConsensusState {
+            kind,
+            fingerprint,
+            phase: self.phase,
+            round: self.round,
+            cccp_round: self.cccp_round,
+            iters_done: self.iters_done,
+            inner_done: self.inner_done,
+            admm_iterations: self.admm_iterations as u64,
+            cccp_rounds: wire_u32(self.cccp_rounds),
+            converged: self.converged,
+            w0: self.w0.clone(),
+            history: self.history.values().to_vec(),
+            residuals: self.residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect(),
+            ..ConsensusState::default()
+        };
+        if let Some((slots, fleet)) = star {
+            rec.us = slots.u.clone();
+            rec.w_ts = slots.w.clone();
+            rec.v_ts = slots.v.clone();
+            rec.xi_ts = slots.xi.clone();
+            rec.roster = fleet.export_roster();
+        }
+        rec
     }
 
-    /// The residual log from its checkpoint form.
-    pub(crate) fn residuals_from(records: &[(u32, f64, f64)]) -> Vec<AdmmResiduals> {
-        records.iter().map(|&(round, primal, dual)| AdmmResiduals { round, primal, dual }).collect()
+    /// Splits a snapshot record into the state it recorded and its device
+    /// slots (empty for the tree's root), moving the vectors out of it.
+    pub(crate) fn from_record(rec: &mut ConsensusState) -> (Self, Slots) {
+        let slots = Slots {
+            dim: rec.w0.len(),
+            w: std::mem::take(&mut rec.w_ts),
+            v: std::mem::take(&mut rec.v_ts),
+            xi: std::mem::take(&mut rec.xi_ts),
+            u: std::mem::take(&mut rec.us),
+        };
+        let st = Consensus {
+            w0: std::mem::take(&mut rec.w0),
+            history: History::from_values(std::mem::take(&mut rec.history)),
+            residuals: rec
+                .residuals
+                .iter()
+                .map(|&(round, primal, dual)| AdmmResiduals { round, primal, dual })
+                .collect(),
+            admm_iterations: rec.admm_iterations as usize,
+            cccp_rounds: rec.cccp_rounds as usize,
+            converged: rec.converged,
+            round: rec.round,
+            cccp_round: rec.cccp_round,
+            iters_done: rec.iters_done,
+            inner_done: rec.inner_done,
+            phase: rec.phase,
+            server_compute: Duration::ZERO,
+        };
+        (st, slots)
     }
 }
 
@@ -322,7 +379,7 @@ pub(crate) fn run_schedule(
 ) -> Result<Consensus, CoreError> {
     let resumed = agg.resume()?;
     // A mid-CCCP snapshot re-enters its round without re-counting it.
-    let mid_cccp = matches!(&resumed, Some(st) if st.phase == DistributedPhase::Admm);
+    let mid_cccp = matches!(&resumed, Some(st) if st.phase == Phase::Cccp);
     let mut st = match resumed {
         Some(st) => st,
         None => {
@@ -336,8 +393,8 @@ pub(crate) fn run_schedule(
         }
     };
     let (start_cccp, refine_start) = match st.phase {
-        DistributedPhase::Admm => (st.cccp_round as usize, 0),
-        DistributedPhase::Refine { rounds_done } => (config.max_cccp_rounds, rounds_done as usize),
+        Phase::Cccp => (st.cccp_round as usize, 0),
+        Phase::Refine { rounds_done } => (config.max_cccp_rounds, rounds_done as usize),
     };
 
     // ---- CCCP × ADMM ----
@@ -359,7 +416,7 @@ pub(crate) fn run_schedule(
             st.admm_iterations += 1;
             st.iters_done = wire_u32(iter);
             st.inner_done = false;
-            st.phase = DistributedPhase::Admm;
+            st.phase = Phase::Cccp;
             let g = agg.gather(&mut st, PHASE_ADMM)?;
             // plos-lint: allow(D2): server compute-time metering only
             let t0 = Instant::now();
@@ -411,7 +468,7 @@ pub(crate) fn run_schedule(
     // block updates (same messages, still only model parameters). ----
     for refine_round in refine_start..config.refine_rounds {
         st.round += 1;
-        st.phase = DistributedPhase::Refine { rounds_done: wire_u32(refine_round) };
+        st.phase = Phase::Refine { rounds_done: wire_u32(refine_round) };
         st.inner_done = true;
         let g = agg.gather(&mut st, PHASE_REFINE)?;
         // plos-lint: allow(D2): server compute-time metering only
@@ -427,7 +484,7 @@ pub(crate) fn run_schedule(
             "refine_round",
             &[("round", (refine_round + 1).into()), ("objective", value.into())],
         );
-        st.phase = DistributedPhase::Refine { rounds_done: wire_u32(refine_round + 1) };
+        st.phase = Phase::Refine { rounds_done: wire_u32(refine_round + 1) };
         agg.checkpoint(&st)?;
     }
     Ok(st)
@@ -477,23 +534,39 @@ pub(crate) fn open_checkpoint<S>(
     Ok((Some(session), resume))
 }
 
-/// Refuses a decoded snapshot whose shape does not match this run: the
-/// section digests already guarantee byte integrity and the fingerprint
-/// ties a snapshot to the cohort and config, so this guards the residual
-/// structural degrees of freedom — per-device counts (`counts_ok`) and
-/// vector lengths — before any arithmetic touches them.
-pub(crate) fn check_shape<'v>(
-    counts_ok: bool,
-    mut vectors: impl Iterator<Item = &'v Vector>,
+/// The ADMM trainers' resume decoder: opens the `trainer`'s checkpoint
+/// session (see [`open_checkpoint`]) and, if a snapshot exists, decodes it
+/// as a [`ConsensusState`] of `kind`, checks its fingerprint against this
+/// run's and emits `checkpoint_resume`.
+///
+/// The section digests already guarantee byte integrity and the
+/// fingerprint ties a snapshot to the cohort and config; this also refuses
+/// a record whose shape does not match the run — its cohort size and every
+/// vector length — before any arithmetic touches it.
+pub(crate) fn open_consensus(
+    policy: Option<&CheckpointPolicy>,
+    trainer: &str,
+    kind: u8,
+    fingerprint: u64,
     t_count: usize,
     dim: usize,
-) -> Result<(), CoreError> {
-    if counts_ok && vectors.all(|v| v.len() == dim) {
-        return Ok(());
-    }
-    Err(CoreError::Ckpt(CkptError::Malformed {
-        detail: format!("checkpoint shape does not match this run (cohort {t_count}, dim {dim})"),
-    }))
+) -> Result<(Option<CkptSession>, Option<ConsensusState>), CoreError> {
+    open_checkpoint(policy, trainer, |file| {
+        let rec = ConsensusState::decode(file, kind)?;
+        checkpoint::check_fingerprint(rec.fingerprint, fingerprint)?;
+        let slots = [&rec.us, &rec.w_ts, &rec.v_ts, &rec.anchors].into_iter().flatten();
+        let logged = rec.log.iter().flat_map(|r| std::iter::once(&r.w0).chain(&r.us));
+        let fits = std::iter::once(&rec.w0).chain(slots).chain(logged).all(|v| v.len() == dim);
+        if rec.us.len() != t_count || !fits {
+            return Err(CoreError::Ckpt(CkptError::Malformed {
+                detail: format!(
+                    "checkpoint shape does not match this run (cohort {t_count}, dim {dim})"
+                ),
+            }));
+        }
+        checkpoint::emit_resume(trainer, rec.round, rec.cccp_round);
+        Ok(rec)
+    })
 }
 
 /// What the devices handed back when the run shut down.

@@ -45,7 +45,7 @@ use crate::model::PersonalizedModel;
 use crate::sharded::Topology;
 use crate::wire_u32;
 use plos_ckpt::{
-    BroadcastRecord, DistributedPhase, DistributedState, ParticipationRecord, KIND_DISTRIBUTED,
+    BroadcastRecord, ConsensusState, ParticipationRecord, Phase, Roster, KIND_DISTRIBUTED,
 };
 use plos_linalg::{ExactSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
@@ -467,6 +467,10 @@ pub(crate) struct Fleet<'a> {
     pub(crate) participation: Vec<RoundParticipation>,
     pub(crate) protocol_errors: u64,
     pub(crate) late_discards: u64,
+    /// Async only: updates discarded as over-stale.
+    pub(crate) stale_discards: u64,
+    /// Async only: assignments re-issued after going over-stale.
+    pub(crate) reassignments: u64,
     /// Set when an eviction changed the cohort size and the survivors have
     /// not been told yet.
     roster_dirty: bool,
@@ -505,6 +509,8 @@ impl<'a> Fleet<'a> {
             participation: Vec::new(),
             protocol_errors: 0,
             late_discards: 0,
+            stale_discards: 0,
+            reassignments: 0,
             roster_dirty: false,
             announces: false,
             ids,
@@ -594,12 +600,12 @@ impl<'a> Fleet<'a> {
     /// Checkpoint resume handshake, first half: tells the fresh threads of
     /// devices the interrupted run already evicted to exit (or the join at
     /// the end of the run would hang on them), then sends every survivor
-    /// its CCCP anchor and the checkpointed cohort size. Returns the
-    /// `Restore` builder for the acknowledging gather's re-sends.
+    /// its CCCP anchor — the recorded one, or its own last `w_t` where the
+    /// record keeps none — and the checkpointed cohort size. Returns the
+    /// `Restore` builder for the acknowledging collection's re-sends.
     pub(crate) fn send_restore(
         &mut self,
-        round: u32,
-        anchors: Vec<Vector>,
+        rec: &ConsensusState,
         dim: usize,
     ) -> impl Fn(usize) -> Message {
         for (link, &alive) in self.links.iter_mut().zip(&self.alive) {
@@ -607,7 +613,8 @@ impl<'a> Fleet<'a> {
                 let _ = link.send(&Message::Shutdown);
             }
         }
-        let t_count = wire_u32(self.alive_count());
+        let (round, t_count) = (rec.round, wire_u32(self.alive_count()));
+        let anchors = if rec.anchors.is_empty() { &rec.w_ts } else { &rec.anchors }.clone();
         let restore = move |t: usize| Message::Restore {
             round,
             t_count,
@@ -618,17 +625,17 @@ impl<'a> Fleet<'a> {
     }
 
     /// Adopts the roster a checkpoint recorded: liveness flags, strike
-    /// counts, eviction order and the fault-tolerance counters, so the
+    /// counts, eviction order, attendance and the discard counters, so the
     /// resumed run's report continues the interrupted one's.
-    fn restore_roster(&mut self, state: &DistributedState) {
-        for (flag, &stored) in self.alive.iter_mut().zip(&state.alive) {
+    pub(crate) fn restore_roster(&mut self, roster: &Roster) {
+        for (flag, &stored) in self.alive.iter_mut().zip(&roster.alive) {
             *flag = stored;
         }
-        for (strikes, &stored) in self.missed.iter_mut().zip(&state.missed) {
+        for (strikes, &stored) in self.missed.iter_mut().zip(&roster.missed) {
             *strikes = stored;
         }
-        self.evicted = state.evicted.iter().map(|&t| t as usize).collect();
-        self.participation = state
+        self.evicted = roster.evicted.iter().map(|&t| t as usize).collect();
+        self.participation = roster
             .participation
             .iter()
             .map(|p| RoundParticipation {
@@ -638,18 +645,21 @@ impl<'a> Fleet<'a> {
                 retries: wire_u32(p.retries),
             })
             .collect();
-        self.protocol_errors = state.protocol_errors;
-        self.late_discards = state.late_discards;
+        self.protocol_errors = roster.protocol_errors;
+        self.late_discards = roster.late_discards;
+        self.stale_discards = roster.stale_discards;
+        self.reassignments = roster.reassignments;
         self.roster_dirty = false;
     }
 
-    /// Snapshot of the roster in checkpoint form.
-    fn export_roster(&self) -> (Vec<bool>, Vec<u32>, Vec<u64>, Vec<ParticipationRecord>) {
-        (
-            self.alive.clone(),
-            self.missed.clone(),
-            self.evicted.iter().map(|&t| t as u64).collect(),
-            self.participation
+    /// The roster in checkpoint form.
+    pub(crate) fn export_roster(&self) -> Roster {
+        Roster {
+            alive: self.alive.clone(),
+            missed: self.missed.clone(),
+            evicted: self.evicted.iter().map(|&t| t as u64).collect(),
+            participation: self
+                .participation
                 .iter()
                 .map(|p| ParticipationRecord {
                     round: p.round,
@@ -658,7 +668,11 @@ impl<'a> Fleet<'a> {
                     retries: u64::from(p.retries),
                 })
                 .collect(),
-        )
+            protocol_errors: self.protocol_errors,
+            late_discards: self.late_discards,
+            stale_discards: self.stale_discards,
+            reassignments: self.reassignments,
+        }
     }
 
     /// The one device poll loop: sweeps the live devices `gather` still
@@ -816,7 +830,7 @@ pub(crate) struct Star<'a> {
     pub(crate) slots: Slots,
     session: Option<CkptSession>,
     fingerprint: u64,
-    resume: Option<DistributedState>,
+    resume: Option<ConsensusState>,
     /// Each device's CCCP anchor: its `w_t` at the start of the current
     /// CCCP round (what its linearization signs derive from).
     anchors: Vec<Vector>,
@@ -848,39 +862,26 @@ impl<'a> Star<'a> {
 
 impl Aggregator for Star<'_> {
     fn resume(&mut self) -> Result<Option<Consensus>, CoreError> {
-        let Some(st) = self.resume.take() else { return Ok(None) };
-        let dim = self.slots.dim;
-        self.fleet.restore_roster(&st);
+        let Some(mut rec) = self.resume.take() else { return Ok(None) };
+        self.fleet.restore_roster(&rec.roster);
         // Reposition the survivors: each adopts its CCCP anchor and the
         // checkpointed cohort size, then acks (unrecorded — the
         // uninterrupted run never had these rounds).
-        let restore = self.fleet.send_restore(st.round, st.anchors.clone(), dim);
-        self.fleet.gather(st.round, false, &restore)?;
+        let restore = self.fleet.send_restore(&rec, self.slots.dim);
+        self.fleet.gather(rec.round, false, &restore)?;
         // Replay the interrupted CCCP round's broadcasts so each device
         // rebuilds its working set bit for bit. Replies are discarded: the
         // checkpointed server state is authoritative.
-        for rec in &st.log {
-            let scatter = |t: usize| broadcast(rec, t);
+        for logged in &rec.log {
+            let scatter = |t: usize| broadcast(logged, t);
             self.fleet.send_alive(&scatter);
-            self.fleet.gather(rec.round, false, &scatter)?;
+            self.fleet.gather(logged.round, false, &scatter)?;
         }
-        self.slots = Slots { dim, w: st.w_ts, v: st.v_ts, xi: st.xi_ts, u: st.us };
-        self.anchors = st.anchors;
-        self.log = st.log;
-        Ok(Some(Consensus {
-            w0: st.w0,
-            history: History::from_values(st.history),
-            residuals: Consensus::residuals_from(&st.residuals),
-            admm_iterations: st.admm_iterations as usize,
-            cccp_rounds: st.cccp_rounds as usize,
-            converged: st.converged,
-            round: st.round,
-            cccp_round: st.cccp_round,
-            iters_done: st.iters_done,
-            inner_done: st.inner_done,
-            phase: st.phase,
-            server_compute: Duration::ZERO,
-        }))
+        self.anchors = std::mem::take(&mut rec.anchors);
+        self.log = std::mem::take(&mut rec.log);
+        let (st, slots) = Consensus::from_record(&mut rec);
+        self.slots = slots;
+        Ok(Some(st))
     }
 
     fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError> {
@@ -958,37 +959,15 @@ impl Aggregator for Star<'_> {
 
     fn checkpoint(&mut self, st: &Consensus) -> Result<(), CoreError> {
         let Some(sess) = self.session.as_mut() else { return Ok(()) };
-        // Refinement anchors each device at its own last w_t, so that is
-        // what a resumed server must hand back; it replays no broadcasts.
-        let refining = matches!(st.phase, DistributedPhase::Refine { .. });
-        let (alive, missed, evicted, participation) = self.fleet.export_roster();
-        let snapshot = DistributedState {
-            fingerprint: self.fingerprint,
-            phase: st.phase,
-            round: st.round,
-            cccp_round: st.cccp_round,
-            iters_done: if refining { 0 } else { st.iters_done },
-            inner_done: st.inner_done,
-            admm_iterations: st.admm_iterations as u64,
-            cccp_rounds: wire_u32(st.cccp_rounds),
-            converged: st.converged,
-            w0: st.w0.clone(),
-            us: self.slots.u.clone(),
-            w_ts: self.slots.w.clone(),
-            v_ts: self.slots.v.clone(),
-            xi_ts: self.slots.xi.clone(),
-            anchors: if refining { self.slots.w.clone() } else { self.anchors.clone() },
-            log: if refining { Vec::new() } else { self.log.clone() },
-            alive,
-            missed,
-            evicted,
-            participation,
-            protocol_errors: self.fleet.protocol_errors,
-            late_discards: self.fleet.late_discards,
-            history: st.history.values().to_vec(),
-            residuals: st.residual_records(),
-        };
-        sess.save(&snapshot.encode())
+        let mut rec =
+            st.record(KIND_DISTRIBUTED, self.fingerprint, Some((&self.slots, &self.fleet)));
+        // Refinement anchors each device at its own last w_t (an empty
+        // anchor list) and replays no broadcasts.
+        if st.phase == Phase::Cccp {
+            rec.anchors = self.anchors.clone();
+            rec.log = self.log.clone();
+        }
+        sess.save(&rec.encode())
     }
 }
 
@@ -1119,26 +1098,14 @@ impl DistributedPlos {
         // The snapshot is server-side state only; a structural fingerprint
         // ties it to this cohort shape and configuration.
         let fingerprint = checkpoint::run_fingerprint(KIND_DISTRIBUTED, t_count, dim, &self.config);
-        let (session, resume) =
-            consensus::open_checkpoint(self.ckpt.as_ref(), "distributed", |file| {
-                let state = DistributedState::decode(file).map_err(CoreError::Ckpt)?;
-                checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
-                let slots = [&state.us, &state.w_ts, &state.v_ts, &state.anchors];
-                let logged = state.log.iter().flat_map(|r| std::iter::once(&r.w0).chain(&r.us));
-                let vectors = slots.into_iter().flatten().chain(logged);
-                let vectors = std::iter::once(&state.w0).chain(vectors);
-                consensus::check_shape(state.us.len() == t_count, vectors, t_count, dim)?;
-                plos_obs::emit(
-                    "checkpoint_resume",
-                    &[
-                        ("trainer", "distributed".to_string().into()),
-                        ("round", state.round.into()),
-                        ("cccp_round", state.cccp_round.into()),
-                        ("admm_iterations", state.admm_iterations.into()),
-                    ],
-                );
-                Ok(state)
-            })?;
+        let (session, resume) = consensus::open_consensus(
+            self.ckpt.as_ref(),
+            "distributed",
+            KIND_DISTRIBUTED,
+            fingerprint,
+            t_count,
+            dim,
+        )?;
 
         let (server_out, exits) = cohort.run(
             &self.config,

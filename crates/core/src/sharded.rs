@@ -26,7 +26,7 @@
 //!
 //! The root runs `R` replicas (deterministic state slots). A seeded
 //! election picks the leader; after every aggregation round the leader
-//! anti-entropy-syncs its encoded [`RootState`] checkpoint to the other
+//! anti-entropy-syncs its encoded [`ConsensusState`] record to the other
 //! replicas by digest comparison. A [`FaultPlan::with_root_kill`] kills
 //! the leader at the mid-round seam — partials gathered, fold not yet
 //! committed. The next elected replica adopts the synced checkpoint,
@@ -49,7 +49,7 @@ use crate::distributed::{
 use crate::error::CoreError;
 use crate::model::PersonalizedModel;
 use crate::wire_u32;
-use plos_ckpt::{fnv1a, CheckpointFile, CkptError, RootState, ShardState, KIND_SHARDED};
+use plos_ckpt::{fnv1a, CheckpointFile, CkptError, ConsensusState, ShardState, KIND_SHARDED};
 use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
@@ -323,23 +323,12 @@ impl<'a> RootDriver<'a> {
 
     /// Start-of-round state snapshot: both the anti-entropy payload and
     /// the checkpoint a failed-over leader resumes from.
-    fn snapshot(&self, st: &Consensus) -> RootState {
-        RootState {
-            fingerprint: self.fingerprint,
+    fn snapshot(&self, st: &Consensus) -> ConsensusState {
+        ConsensusState {
             shard_fingerprint: self.shard_fingerprint,
             term: self.term,
-            phase: st.phase,
-            round: st.round,
-            cccp_round: st.cccp_round,
-            iters_done: st.iters_done,
-            inner_done: st.inner_done,
-            admm_iterations: st.admm_iterations as u64,
-            cccp_rounds: wire_u32(st.cccp_rounds),
-            converged: st.converged,
-            w0: st.w0.clone(),
-            history: st.history.values().to_vec(),
-            residuals: st.residual_records(),
             shards: self.shards.clone(),
+            ..st.record(KIND_SHARDED, self.fingerprint, None)
         }
     }
 
@@ -371,32 +360,24 @@ impl<'a> RootDriver<'a> {
     /// must match the in-flight round exactly.
     fn adopt(&mut self, st: &mut Consensus, bytes: &[u8]) -> Result<(), CoreError> {
         let file = CheckpointFile::decode(bytes).map_err(CoreError::Ckpt)?;
-        let state = RootState::decode(&file).map_err(CoreError::Ckpt)?;
-        checkpoint::check_fingerprint(state.fingerprint, self.fingerprint)?;
-        if state.shard_fingerprint != self.shard_fingerprint {
+        let mut rec = ConsensusState::decode(&file, KIND_SHARDED).map_err(CoreError::Ckpt)?;
+        checkpoint::check_fingerprint(rec.fingerprint, self.fingerprint)?;
+        if rec.shard_fingerprint != self.shard_fingerprint {
             return Err(CoreError::Ckpt(CkptError::Malformed {
                 detail: "replica checkpoint binds a different shard map".to_string(),
             }));
         }
-        if state.round != st.round {
+        if rec.round != st.round {
             return Err(CoreError::Ckpt(CkptError::Malformed {
                 detail: format!(
                     "replica checkpoint is for round {} but round {} is in flight",
-                    state.round, st.round
+                    rec.round, st.round
                 ),
             }));
         }
-        st.w0 = state.w0;
-        st.history = plos_opt::History::from_values(state.history);
-        st.residuals = Consensus::residuals_from(&state.residuals);
-        st.admm_iterations = state.admm_iterations as usize;
-        st.cccp_rounds = state.cccp_rounds as usize;
-        st.converged = state.converged;
-        st.cccp_round = state.cccp_round;
-        st.iters_done = state.iters_done;
-        st.inner_done = state.inner_done;
-        st.phase = state.phase;
-        self.shards = state.shards;
+        let (adopted, _) = Consensus::from_record(&mut rec);
+        *st = Consensus { server_compute: st.server_compute, ..adopted };
+        self.shards = rec.shards;
         Ok(())
     }
 

@@ -33,7 +33,6 @@ pub mod error;
 pub mod exact;
 pub mod kernels;
 pub mod matrix;
-pub mod solve;
 pub mod stats;
 pub mod vector;
 
@@ -42,7 +41,6 @@ pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use exact::{ExactSum, ExactVecSum};
 pub use matrix::Matrix;
-pub use solve::solve_linear_system;
 pub use vector::Vector;
 
 /// Result alias used across the crate.

@@ -20,7 +20,6 @@
 //! * [`matching`] — Hungarian assignment for evaluating clusterings under
 //!   the best cluster-to-class matching;
 //! * [`metrics`] — accuracy and confusion counts;
-//! * [`scale`] — standard (z-score) feature scaling;
 //! * [`crossval`] — k-fold / leave-one-out splits and grid search, used for
 //!   the paper's parameter selection.
 
@@ -30,7 +29,6 @@ pub mod kmeans;
 pub mod lsh;
 pub mod matching;
 pub mod metrics;
-pub mod scale;
 pub mod similarity;
 pub mod spectral;
 pub mod svm;
@@ -40,7 +38,6 @@ pub use kmeans::{KMeans, KMeansResult};
 pub use lsh::RandomHyperplaneHasher;
 pub use matching::best_matching_accuracy;
 pub use metrics::accuracy;
-pub use scale::StandardScaler;
 pub use similarity::histogram_jaccard;
 pub use spectral::spectral_clustering;
 pub use svm::{LinearSvm, SvmModel, SvmParams};

@@ -11,32 +11,25 @@
 //! * a **quadratic-program solver** for the cutting-plane duals — Eq. (16)
 //!   is a PSD QP over `γ ≥ 0` with one capped-sum constraint per user, and
 //!   Eq. (22)'s dual has the same shape with a single cap ([`qp`]);
-//! * the **cutting-plane method** (Kelley 1960) that grows working sets of
-//!   most-violated constraints until none is violated by more than `ε`
-//!   ([`cutting_plane`]);
 //! * the **concave–convex procedure** (CCCP) that repeatedly linearizes the
 //!   concave `|w·x|` terms contributed by unlabeled samples ([`cccp`]).
 //!
-//! Consensus ADMM for the distributed variant — Eq. (23)–(24) — lives with
-//! its servers in `plos-core`.
+//! The cutting-plane loops (Kelley 1960) that grow the working sets, and
+//! consensus ADMM for the distributed variant — Eq. (23)–(24) — live with
+//! their objectives and servers in `plos-core`.
 //!
 //! Each block is generic: the PLOS-specific objective lives in `plos-core`,
-//! which plugs its closures/impls into these drivers. A projected-gradient
-//! reference solver ([`pg`]) cross-checks the coordinate-descent QP solver in
-//! tests.
+//! which plugs its closures/impls into these drivers.
 
 pub mod cccp;
 pub(crate) mod cd;
 pub mod convergence;
-pub mod cutting_plane;
 pub mod error;
 pub mod incremental;
-pub mod pg;
 pub mod qp;
 
 pub use cccp::{Cccp, CccpResult};
 pub use convergence::History;
-pub use cutting_plane::{CuttingPlane, CuttingPlaneReport};
 pub use error::OptError;
 pub use incremental::{IncrementalQp, QpSolveStats};
 pub use qp::{GroupedQp, QpSolution, QpSolverOptions};

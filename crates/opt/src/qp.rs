@@ -264,18 +264,6 @@ impl GroupedQp {
             shrink_reactivations: out.shrink_reactivations,
         })
     }
-
-    pub(crate) fn q_ref(&self) -> &Matrix {
-        &self.q
-    }
-
-    pub(crate) fn b_ref(&self) -> &Vector {
-        &self.b
-    }
-
-    pub(crate) fn groups_ref(&self) -> &[(Vec<usize>, f64)] {
-        &self.groups
-    }
 }
 
 #[cfg(test)]

@@ -20,8 +20,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 
 use plos::ckpt::{
-    BroadcastRecord, CentralizedPhase, CentralizedState, CheckpointFile, CkptError,
-    DistributedPhase, DistributedState, DualEntry, DualState, ModelState, ParticipationRecord,
+    BroadcastRecord, CentralizedState, CheckpointFile, CkptError, ConsensusState, DualEntry,
+    DualState, ParticipationRecord, Phase, Roster, ShardState, KIND_ASYNC, KIND_DISTRIBUTED,
+    KIND_SHARDED,
 };
 use plos::linalg::Vector;
 use proptest::prelude::*;
@@ -64,16 +65,6 @@ fn shape(rng: &mut StdRng) -> (usize, usize) {
     (rng.gen_range(0..4), rng.gen_range(0..4))
 }
 
-fn model_state(rng: &mut StdRng) -> ModelState {
-    let (users, dim) = shape(rng);
-    ModelState {
-        fingerprint: rng.gen(),
-        w0: rvec(rng, dim),
-        biases: rvecs(rng, users, dim),
-        bias_aug: if rng.gen_bool(0.5) { Some(finite_f64(rng)) } else { None },
-    }
-}
-
 fn dual_state(rng: &mut StdRng) -> DualState {
     let (t_count, dim) = shape(rng);
     let n_entries = rng.gen_range(0..5); // 0 = empty working set
@@ -93,11 +84,7 @@ fn centralized_state(rng: &mut StdRng) -> CentralizedState {
     let (users, dim) = shape(rng);
     CentralizedState {
         fingerprint: rng.gen(),
-        phase: if rng.gen_bool(0.5) {
-            CentralizedPhase::Cccp
-        } else {
-            CentralizedPhase::Refine { rounds_done: rng.gen_range(0..8) }
-        },
+        phase: phase(rng),
         w0: rvec(rng, dim),
         vectors: rvecs(rng, users, dim),
         history: (0..rng.gen_range(0..4)).map(|_| finite_f64(rng)).collect(),
@@ -108,32 +95,28 @@ fn centralized_state(rng: &mut StdRng) -> CentralizedState {
     }
 }
 
-/// The full distributed server mirror, with every cohort-sized group kept
-/// consistent (the decoder validates that and would reject a mismatch).
-fn distributed_state(rng: &mut StdRng) -> DistributedState {
+fn phase(rng: &mut StdRng) -> Phase {
+    if rng.gen_bool(0.5) {
+        Phase::Cccp
+    } else {
+        Phase::Refine { rounds_done: rng.gen_range(0..8) }
+    }
+}
+
+/// The kind bytes of the three ADMM servers sharing the consensus record.
+const CONSENSUS_KINDS: [u8; 3] = [KIND_DISTRIBUTED, KIND_ASYNC, KIND_SHARDED];
+
+/// The consensus record in the shape the server of `kind` writes, with
+/// every cohort-sized group kept consistent (the decoder validates that
+/// and would reject a mismatch): the flat star with anchors, broadcast log
+/// and full roster; the async server with no anchors and no log; the tree
+/// root with a shard table and no device slots or roster.
+fn consensus_state(rng: &mut StdRng, kind: u8) -> ConsensusState {
     let (t_count, dim) = shape(rng);
-    let log = (0..rng.gen_range(0..3))
-        .map(|_| BroadcastRecord {
-            round: rng.gen_range(0..64),
-            w0: rvec(rng, dim),
-            us: rvecs(rng, t_count, dim),
-        })
-        .collect();
-    let participation = (0..rng.gen_range(0..4))
-        .map(|_| ParticipationRecord {
-            round: rng.gen_range(0..64),
-            replied: rng.gen_range(0..8),
-            alive: rng.gen_range(0..8),
-            retries: rng.gen_range(0..4),
-        })
-        .collect();
-    DistributedState {
+    let header = ConsensusState {
+        kind,
         fingerprint: rng.gen(),
-        phase: if rng.gen_bool(0.5) {
-            DistributedPhase::Admm
-        } else {
-            DistributedPhase::Refine { rounds_done: rng.gen_range(0..4) }
-        },
+        phase: phase(rng),
         round: rng.gen_range(0..64),
         cccp_round: rng.gen_range(0..8),
         iters_done: rng.gen_range(0..16),
@@ -142,29 +125,64 @@ fn distributed_state(rng: &mut StdRng) -> DistributedState {
         cccp_rounds: rng.gen_range(0..8),
         converged: rng.gen_bool(0.5),
         w0: rvec(rng, dim),
-        us: rvecs(rng, t_count, dim),
-        w_ts: rvecs(rng, t_count, dim),
-        v_ts: rvecs(rng, t_count, dim),
-        xi_ts: (0..t_count).map(|_| finite_f64(rng)).collect(),
-        anchors: rvecs(rng, t_count, dim),
-        log,
-        alive: (0..t_count).map(|_| rng.gen_bool(0.8)).collect(),
-        missed: (0..t_count).map(|_| rng.gen_range(0..4)).collect(),
-        evicted: (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..8)).collect(),
-        participation,
-        protocol_errors: rng.gen_range(0..4),
-        late_discards: rng.gen_range(0..4),
         history: (0..rng.gen_range(0..4)).map(|_| finite_f64(rng)).collect(),
         residuals: (0..rng.gen_range(0..4))
             .map(|_| (rng.gen_range(0..64), finite_f64(rng), finite_f64(rng)))
             .collect(),
+        ..ConsensusState::default()
+    };
+    if kind == KIND_SHARDED {
+        let shards = (0..rng.gen_range(0..4))
+            .map(|s| ShardState {
+                shard: s,
+                n: rng.gen_range(0..8),
+                last_round: rng.gen_range(0..64),
+                partial_digest: rng.gen(),
+                participation: rng.gen_range(0..8),
+            })
+            .collect();
+        return ConsensusState {
+            shard_fingerprint: rng.gen(),
+            term: rng.gen_range(0..4),
+            shards,
+            ..header
+        };
     }
-}
-
-/// Bit-pattern view of a vector; `PartialEq` on `f64` would call `-0.0`
-/// and `0.0` equal, which is not the parity the format promises.
-fn bits(v: &Vector) -> Vec<u64> {
-    v.iter().map(|c| c.to_bits()).collect()
+    let star = kind == KIND_DISTRIBUTED;
+    let log = (0..if star { rng.gen_range(0..3) } else { 0 })
+        .map(|_| BroadcastRecord {
+            round: rng.gen_range(0..64),
+            w0: rvec(rng, dim),
+            us: rvecs(rng, t_count, dim),
+        })
+        .collect();
+    let participation = (0..if star { rng.gen_range(0..4) } else { 0 })
+        .map(|_| ParticipationRecord {
+            round: rng.gen_range(0..64),
+            replied: rng.gen_range(0..8),
+            alive: rng.gen_range(0..8),
+            retries: rng.gen_range(0..4),
+        })
+        .collect();
+    ConsensusState {
+        us: rvecs(rng, t_count, dim),
+        w_ts: rvecs(rng, t_count, dim),
+        v_ts: rvecs(rng, t_count, dim),
+        xi_ts: (0..t_count).map(|_| finite_f64(rng)).collect(),
+        anchors: if star { rvecs(rng, t_count, dim) } else { Vec::new() },
+        log,
+        roster: Roster {
+            alive: (0..t_count).map(|_| rng.gen_bool(0.8)).collect(),
+            missed: (0..t_count).map(|_| if star { rng.gen_range(0..4) } else { 0 }).collect(),
+            evicted: (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..8)).collect(),
+            participation,
+            protocol_errors: rng.gen_range(0..4),
+            late_discards: rng.gen_range(0..4),
+            stale_discards: if star { 0 } else { rng.gen_range(0..4) },
+            reassignments: if star { 0 } else { rng.gen_range(0..4) },
+        },
+        ..header
+    }
 }
 
 /// One encoding of each mirror kind, used by the corruption properties so
@@ -172,10 +190,11 @@ fn bits(v: &Vector) -> Vec<u64> {
 fn sample_encodings(seed: u64) -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(seed);
     vec![
-        model_state(&mut rng).encode().encode(),
         dual_state(&mut rng).encode().encode(),
         centralized_state(&mut rng).encode().encode(),
-        distributed_state(&mut rng).encode().encode(),
+        consensus_state(&mut rng, KIND_DISTRIBUTED).encode().encode(),
+        consensus_state(&mut rng, KIND_ASYNC).encode().encode(),
+        consensus_state(&mut rng, KIND_SHARDED).encode().encode(),
     ]
 }
 
@@ -184,12 +203,11 @@ fn sample_encodings(seed: u64) -> Vec<Vec<u8>> {
 fn decode_any(bytes: &[u8]) -> Result<(), CkptError> {
     let file = CheckpointFile::decode(bytes)?;
     let mut last = CkptError::Malformed { detail: "no decoder accepted the file".into() };
-    for result in [
-        ModelState::decode(&file).map(drop),
-        DualState::decode(&file).map(drop),
-        CentralizedState::decode(&file).map(drop),
-        DistributedState::decode(&file).map(drop),
-    ] {
+    let consensus = CONSENSUS_KINDS.map(|kind| ConsensusState::decode(&file, kind).map(drop));
+    for result in [DualState::decode(&file).map(drop), CentralizedState::decode(&file).map(drop)]
+        .into_iter()
+        .chain(consensus)
+    {
         match result {
             Ok(()) => return Ok(()),
             Err(e) => last = e,
@@ -200,24 +218,6 @@ fn decode_any(bytes: &[u8]) -> Result<(), CkptError> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn model_state_roundtrips_bit_exactly(seed in 0u64..1_000_000) {
-        let state = model_state(&mut StdRng::seed_from_u64(seed));
-        let bytes = state.encode().encode();
-        let back = ModelState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        prop_assert_eq!(back.fingerprint, state.fingerprint);
-        prop_assert_eq!(bits(&back.w0), bits(&state.w0));
-        prop_assert_eq!(back.biases.len(), state.biases.len());
-        for (b, s) in back.biases.iter().zip(&state.biases) {
-            prop_assert_eq!(bits(b), bits(s));
-        }
-        prop_assert_eq!(back.bias_aug.map(f64::to_bits), state.bias_aug.map(f64::to_bits));
-        // Re-encoding the decoded state must reproduce the exact bytes:
-        // byte identity subsumes every field comparison above (and covers
-        // the -0.0 / NaN-payload cases PartialEq would miss).
-        prop_assert_eq!(back.encode().encode(), bytes);
-    }
 
     #[test]
     fn dual_state_roundtrips_bit_exactly(seed in 0u64..1_000_000) {
@@ -240,10 +240,14 @@ proptest! {
 
     #[test]
     fn distributed_state_roundtrips_bit_exactly(seed in 0u64..1_000_000) {
-        let state = distributed_state(&mut StdRng::seed_from_u64(seed));
+        // Every server's shape of the one consensus record.
+        let kind = CONSENSUS_KINDS[(seed % 3) as usize];
+        let state = consensus_state(&mut StdRng::seed_from_u64(seed), kind);
         let bytes = state.encode().encode();
-        let back =
-            DistributedState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
+        let back = ConsensusState::decode(&CheckpointFile::decode(&bytes).unwrap(), kind).unwrap();
+        // Re-encoding the decoded state must reproduce the exact bytes:
+        // byte identity covers the -0.0 / NaN-payload cases PartialEq
+        // would miss.
         prop_assert_eq!(&back, &state);
         prop_assert_eq!(back.encode().encode(), bytes);
     }
@@ -251,7 +255,7 @@ proptest! {
     #[test]
     fn truncation_is_always_a_typed_error(
         seed in 0u64..1000,
-        which in 0usize..4,
+        which in 0usize..5,
         cut in 0.0..1.0f64,
     ) {
         let bytes = &sample_encodings(seed)[which];
@@ -264,7 +268,7 @@ proptest! {
     #[test]
     fn single_bit_flips_are_always_typed_errors(
         seed in 0u64..1000,
-        which in 0usize..4,
+        which in 0usize..5,
         pos in 0.0..1.0f64,
         bit in 0u8..8,
     ) {

@@ -144,6 +144,24 @@ fn traced<T>(fit: impl FnOnce() -> T) -> (T, Vec<obs::Event>) {
     (out, sink.take())
 }
 
+/// Kills `fit` at its first checkpoint, then resumes it from the snapshot,
+/// so a traced call records the trainer's `checkpoint_resume` event.
+fn killed_and_resumed<T>(
+    tag: &str,
+    fit: impl Fn(CheckpointPolicy) -> Result<T, plos::core::CoreError>,
+) -> Result<(), plos::core::CoreError> {
+    let dir = std::env::temp_dir().join(format!("plos-obs-resume-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let killed = fit(CheckpointPolicy::new(&dir).abort_after(1)).map(drop);
+    assert!(
+        matches!(killed, Err(plos::core::CoreError::Interrupted { .. })),
+        "{tag}: the kill switch must fire, got {killed:?}"
+    );
+    let resumed = fit(CheckpointPolicy::new(&dir)).map(drop);
+    let _ = std::fs::remove_dir_all(&dir);
+    resumed
+}
+
 #[test]
 fn every_event_name_has_one_schema() {
     let _g = sink_guard();
@@ -156,6 +174,32 @@ fn every_event_name_has_one_schema() {
     let s0 = AsyncSpec { staleness_bound: 0, ..AsyncSpec::default() };
     let fits = [
         ("centralized", traced(|| CentralizedPlos::try_new(config.clone())?.fit(&data).map(drop))),
+        (
+            "centralized resume",
+            traced(|| {
+                killed_and_resumed("centralized", |policy| {
+                    CentralizedPlos::try_new(config.clone())?.with_checkpointing(policy).fit(&data)
+                })
+            }),
+        ),
+        (
+            "flat resume",
+            traced(|| {
+                killed_and_resumed("flat", |policy| {
+                    dist.clone().with_checkpointing(policy).fit(&data)
+                })
+            }),
+        ),
+        (
+            "async resume",
+            traced(|| {
+                killed_and_resumed("async", |policy| {
+                    AsyncDistributedPlos::try_new(config.clone(), s0)?
+                        .with_checkpointing(policy)
+                        .fit(&data)
+                })
+            }),
+        ),
         ("flat", traced(|| dist.fit_with_faults(&data, &plan).map(drop))),
         ("tree", traced(|| tree.fit_with_faults(&data, &plan).map(drop))),
         (
@@ -180,8 +224,23 @@ fn every_event_name_has_one_schema() {
                 "the {fit} fit emits no traffic_summary"
             );
         }
+        if fit.ends_with("resume") {
+            assert!(
+                events.iter().any(|e| e.name == "checkpoint_resume"),
+                "the {fit} fit emits no checkpoint_resume"
+            );
+        }
     }
-    for name in ["cccp_round", "refine_round", "admm_round", "traffic_summary", "eviction"] {
+    let names = [
+        "cccp_round",
+        "cutting_round",
+        "refine_round",
+        "admm_round",
+        "traffic_summary",
+        "eviction",
+        "checkpoint_resume",
+    ];
+    for name in names {
         let shapes = schemas.get(name).unwrap_or_else(|| panic!("no {name} events traced"));
         assert_eq!(shapes.len(), 1, "{name} carries more than one field set: {shapes:?}");
     }

@@ -9,10 +9,13 @@ use plos::linalg::{ExactSum, ExactVecSum, Matrix, Vector};
 use plos::ml::matching::{best_matching_accuracy, hungarian_min_assignment};
 use plos::net::Message;
 use plos::net::ShardMap;
-use plos::opt::pg::project_capped_simplex;
 use plos::opt::{GroupedQp, QpSolverOptions};
 use plos::sensing::window::{samples_for_windows, sliding_windows};
 use proptest::prelude::*;
+
+#[path = "support/pg.rs"]
+mod pg;
+use pg::project_capped_simplex;
 
 fn small_vec() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6..1e6f64, 0..20)
