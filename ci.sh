@@ -53,6 +53,11 @@ cargo test -q
 echo "==> cargo test -q --workspace --exclude plos"
 cargo test -q --workspace --exclude plos
 
+# The benchmark is a package of its own outside the workspace (perfbench/,
+# driving the public API): its ledger and trace-reduction tests run here.
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # The parity suite proves the fork-join pool leaves training output
 # bit-identical; run it pinned to one thread and at default parallelism.
 echo "==> PLOS_THREADS=1 cargo test -q --test parallel_parity"

@@ -14,8 +14,11 @@ fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("message_codec");
     // 121 = the body-sensor dimension + bias; 562 = HAR + bias.
     for &d in &[3usize, 121, 562] {
-        let msg = Message::Broadcast {
+        let msg = Message::Assign {
             round: 12,
+            phase: plos_net::shard::PHASE_ADMM,
+            cccp_round: 1,
+            t_count: 30,
             w0: Vector::filled(d, 0.5),
             u_t: Vector::filled(d, -0.25),
         };

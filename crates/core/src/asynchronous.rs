@@ -12,11 +12,12 @@
 //! §13) is Jacobi-style asynchronous ADMM under a **staleness bound** `S`:
 //!
 //! * every server pass opens a consensus **epoch**; devices with no
-//!   assignment in flight receive `AsyncBroadcast { epoch, S, w0, u_t }`;
-//! * a device replies `AsyncUpdate { epoch, basis, … }` where `basis` is
+//!   assignment in flight receive `Assign { round: epoch, w0, u_t, … }`;
+//! * a device replies `Update { round: epoch, basis, … }` where `basis` is
 //!   the epoch whose `(w0, u_t)` its solution was actually computed
-//!   against — busy devices resend their cached solution with its old
-//!   basis instead of recomputing;
+//!   against — busy devices (per the [`AsyncSpec`] straggler process they
+//!   were built with) resend their cached solution with its old basis
+//!   instead of recomputing;
 //! * the server accepts a reply when `epoch − basis ≤ S` and folds it into
 //!   the per-device slots; over-stale updates are **discarded and
 //!   counted** (`stale_discard` events), and the device is re-assigned
@@ -26,6 +27,7 @@
 //!   the Eq. (23) update runs over whatever subset arrived (an empty pass
 //!   applies nothing and is not counted as an ADMM iteration).
 //!
+//! The device is the synchronous servers' own ([`crate::local::Device`]).
 //! **S = 0 degenerates to the synchronous path bit-for-bit**: the bound
 //! forces every reply fresh (`basis == epoch`), the pass becomes a
 //! barrier whose refresh set is the live roster, and the fold, residual
@@ -42,17 +44,16 @@
 
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
 use crate::config::{FaultTolerance, PlosConfig};
-use crate::consensus::{self, splitmix64, Cohort, Consensus, Slots};
+use crate::consensus::{self, Cohort, Consensus, Slots};
 use crate::distributed::{Fleet, Gather, Reply};
 use crate::error::CoreError;
-use crate::local::{LocalSolver, LocalUpdate};
+use crate::local::DeviceOutcome;
 use crate::model::PersonalizedModel;
 use crate::wire_u32;
 use plos_ckpt::{ConsensusState, Phase, KIND_ASYNC};
 use plos_linalg::Vector;
-use plos_net::{
-    DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan, Message, TrafficStats,
-};
+use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
+use plos_net::{DeviceRuntime, Endpoint, FaultPlan, Message, TrafficStats};
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
 use std::time::{Duration, Instant};
@@ -64,7 +65,7 @@ const SERVER_WAIT: Duration = Duration::from_secs(60);
 
 /// In barrier collections (init, refinement, `S = 0` passes, restore
 /// handshakes) the assignment is re-sent to silent devices at this cadence
-/// so a dropped frame cannot stall the barrier. Clients answer re-sent
+/// so a dropped frame cannot stall the barrier. Devices answer re-sent
 /// assignments idempotently from their reply cache.
 const RESEND_AFTER: Duration = Duration::from_millis(250);
 
@@ -92,6 +93,17 @@ pub struct AsyncSpec {
     pub poll_window: Duration,
     /// Seed of the per-device straggler processes.
     pub seed: u64,
+}
+
+impl AsyncSpec {
+    /// The synchronous protocol's straggler process: every device always
+    /// free, `S = 0`.
+    pub(crate) const SYNCHRONOUS: AsyncSpec = AsyncSpec {
+        availability: 1.0,
+        staleness_bound: 0,
+        poll_window: Duration::from_millis(40),
+        seed: 0,
+    };
 }
 
 impl Default for AsyncSpec {
@@ -167,170 +179,6 @@ pub struct AsyncDistributedPlos {
     runtime: DeviceRuntime,
 }
 
-struct ClientOutcome {
-    stats: TrafficStats,
-    stale: usize,
-    fresh: usize,
-}
-
-/// The device side of the bounded-staleness protocol as a resumable state
-/// machine: answer epoch-tagged assignments until shutdown. Busy devices
-/// (per the stateless straggler hash) resend their cached solution with its
-/// original basis epoch; an `S = 0` assignment forces a fresh solve, which
-/// is what makes the bound degenerate to the synchronous protocol. Replies
-/// are cached per assignment epoch so duplicated or re-sent assignments are
-/// answered idempotently. Both runners drive it —
-/// [`plos_net::drive_blocking`] on a dedicated thread, or the
-/// [`plos_net::MuxNetwork`] sweep with K siblings per worker.
-struct AsyncDeviceMachine {
-    user: u32,
-    t: usize,
-    solver: LocalSolver,
-    spec: AsyncSpec,
-    /// Latest locally computed solution, tagged with the epoch whose
-    /// (w0, u_t) it was computed against.
-    last: Option<(u32, LocalUpdate)>,
-    /// Last reply sent, keyed by assignment epoch.
-    sent: Option<(u32, Message)>,
-    stale: usize,
-    fresh: usize,
-    /// Chaos injection: panic on the first assignment at or after this
-    /// epoch ([`FaultPlan::panic_round`]), modelling an app crash mid-ADMM.
-    panic_at: Option<u32>,
-}
-
-impl AsyncDeviceMachine {
-    /// Caches and sends `update` as the reply to assignment `epoch`,
-    /// computed against `basis`.
-    fn reply(&mut self, epoch: u32, basis: u32, update: LocalUpdate) -> DeviceStep {
-        let reply = Message::AsyncUpdate {
-            epoch,
-            basis,
-            user: self.user,
-            w_t: update.w_t,
-            v_t: update.v_t,
-            xi_t: update.xi_t,
-        };
-        self.sent = Some((epoch, reply.clone()));
-        DeviceStep::Send(reply)
-    }
-
-    /// The cached reply to a re-sent or duplicated assignment `epoch`.
-    fn cached(&self, epoch: u32) -> Option<DeviceStep> {
-        match &self.sent {
-            Some((e, reply)) if *e == epoch => Some(DeviceStep::Send(reply.clone())),
-            _ => None,
-        }
-    }
-}
-
-impl DeviceMachine for AsyncDeviceMachine {
-    type Output = ClientOutcome;
-
-    // The planned chaos crash must be a genuine panic: the whole point of
-    // the regression is that the runtime contains it per-device.
-    #[allow(clippy::panic)]
-    fn on_message(&mut self, message: Message) -> DeviceStep {
-        match message {
-            Message::AsyncBroadcast { epoch, staleness_bound, w0, u_t } => {
-                if self.panic_at.is_some_and(|at| epoch >= at) {
-                    panic!("planned chaos: device {} crashed at epoch {epoch}", self.user);
-                }
-                if let Some(step) = self.cached(epoch) {
-                    return step;
-                }
-                if epoch == 0 {
-                    // Init epoch: contribute a local hyperplane if this
-                    // device has labels of both classes.
-                    let w_t =
-                        self.solver.initial_hyperplane().unwrap_or_else(|| Vector::zeros(w0.len()));
-                    let v_t = Vector::zeros(w0.len());
-                    return self.reply(epoch, epoch, LocalUpdate { w_t, v_t, xi_t: 0.0 });
-                }
-                let busy = staleness_bound > 0
-                    && self.last.is_some()
-                    && is_busy(self.spec.seed, self.t, epoch, self.spec.availability);
-                match (&self.last, busy) {
-                    (Some((basis, update)), true) => {
-                        self.stale += 1;
-                        let (basis, update) = (*basis, update.clone());
-                        self.reply(epoch, basis, update)
-                    }
-                    _ => {
-                        self.fresh += 1;
-                        let update = self.solver.solve_or_consensus(&w0, &u_t);
-                        self.last = Some((epoch, update.clone()));
-                        self.reply(epoch, epoch, update)
-                    }
-                }
-            }
-            Message::CccpAdvance { .. } => {
-                self.solver.advance_cccp();
-                // The linearization changed; cached solutions and replies
-                // are void.
-                self.last = None;
-                self.sent = None;
-                DeviceStep::NeedRecv
-            }
-            Message::Refine { round, w0 } => {
-                if let Some(step) = self.cached(round) {
-                    return step;
-                }
-                // Refinement is always fresh — it anchors the final model.
-                let update = self.solver.refine_or_consensus(&w0, round);
-                self.fresh += 1;
-                self.last = Some((round, update.clone()));
-                self.reply(round, round, update)
-            }
-            // The cohort shrank: rescale every T-dependent quantity,
-            // notably κ = λ/T in the local objective.
-            Message::RosterUpdate { t_count } => {
-                self.solver.set_cohort_size(t_count as usize);
-                DeviceStep::NeedRecv
-            }
-            // Checkpoint resume: adopt the server's recorded anchor and
-            // cohort size, then ack. The ack carries empty vectors — it is
-            // a liveness signal, not an update, and the server's restore
-            // collection discards its payload.
-            Message::Restore { round, t_count, w_t } => {
-                self.solver.restore(w_t, t_count as usize);
-                self.last = None;
-                let empty = Vector::zeros(0);
-                self.reply(round, round, LocalUpdate { w_t: empty.clone(), v_t: empty, xi_t: 0.0 })
-            }
-            // Stray frames (sync-protocol broadcasts, peer updates): drop
-            // rather than dying on a protocol hiccup.
-            Message::Broadcast { .. }
-            | Message::ClientUpdate { .. }
-            | Message::AsyncUpdate { .. }
-            | Message::ShardBroadcast { .. }
-            | Message::PartialSum { .. }
-            | Message::ShardCommit { .. }
-            | Message::ShardResidual { .. } => DeviceStep::NeedRecv,
-            Message::Shutdown => DeviceStep::Done,
-        }
-    }
-
-    fn finish(self, stats: TrafficStats) -> ClientOutcome {
-        ClientOutcome { stats, stale: self.stale, fresh: self.fresh }
-    }
-}
-
-/// Stateless per-(device, epoch) busy decision — a splitmix64 hash mapped
-/// to `[0, 1)`. Deterministic in the spec seed alone, so the straggler
-/// process is independent of message timing and arrival order.
-fn is_busy(seed: u64, t: usize, epoch: u32, availability: f64) -> bool {
-    if availability >= 1.0 {
-        return false;
-    }
-    let z = splitmix64(
-        seed ^ (t as u64).wrapping_mul(0xd129_0d3a_37cf_1e2b)
-            ^ u64::from(epoch).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    );
-    let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-    unit >= availability
-}
-
 /// Mixes the async spec into the structural run fingerprint: resuming with
 /// a different straggler process or staleness bound would follow a
 /// different trajectory, so such snapshots must be refused like a config
@@ -343,7 +191,7 @@ fn async_fingerprint(config: &PlosConfig, spec: &AsyncSpec, t_count: usize, dim:
 }
 
 /// The bounded-staleness collection policy for [`Fleet::poll`]: matches
-/// arriving `AsyncUpdate`s against `outstanding` by epoch tag, folds the
+/// arriving `Update`s against `outstanding` by epoch tag, folds the
 /// ones within the staleness bound, and counts the rest
 /// (late/stale/protocol discards). A `barrier` collection lasts until the
 /// whole live roster is accounted for — re-sending the assignment to
@@ -355,6 +203,8 @@ struct Collect<'c> {
     epoch: u32,
     staleness_bound: u32,
     barrier: bool,
+    /// The replies only acknowledge a `Restore`; their payload is discarded.
+    ack: bool,
     quiet_window: Duration,
     hard_deadline: Instant,
     quiet_deadline: Instant,
@@ -395,7 +245,7 @@ impl Gather for Collect<'_> {
     }
 
     fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message) {
-        let Message::AsyncUpdate { epoch, basis, user, w_t, v_t, xi_t } = frame else {
+        let Message::Update { round: epoch, basis, user, w_t, v_t, xi_t } = frame else {
             fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
             return;
         };
@@ -403,9 +253,10 @@ impl Gather for Collect<'_> {
         // plos-lint: allow(D2): quiescence-window bookkeeping only
         self.quiet_deadline = Instant::now() + self.quiet_window;
         let matched = matches!(self.outstanding.get(t), Some(Some(assigned)) if *assigned == epoch);
-        if user as usize != fleet.id(t) {
-            fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
-        } else if !matched {
+        if !fleet.admits(t, user, self.ack, &w_t, &v_t) {
+            return;
+        }
+        if !matched {
             // A duplicate, or an answer to a superseded assignment:
             // discard by tag, never merge.
             fleet.late_discards = fleet.late_discards.saturating_add(1);
@@ -442,11 +293,13 @@ struct Ledger {
 
 impl Ledger {
     /// One collection over the outstanding assignments of `epoch` (see
-    /// [`Collect`]). Returns the updates to fold.
+    /// [`Collect`]). Returns the updates to fold; `ack` marks a restore
+    /// handshake, whose replies carry no payload.
     fn collect(
         &mut self,
         fleet: &mut Fleet<'_>,
         epoch: u32,
+        ack: bool,
         staleness_bound: u32,
         (quiet_window, barrier): (Duration, bool),
         resend: &dyn Fn(usize) -> Message,
@@ -460,6 +313,7 @@ impl Ledger {
             epoch,
             staleness_bound,
             barrier,
+            ack,
             quiet_window,
             hard_deadline: started + SERVER_WAIT,
             quiet_deadline: started + quiet_window,
@@ -572,31 +426,17 @@ impl AsyncDistributedPlos {
             dim,
         )?;
 
-        let spec = self.spec;
-        let (server_out, exits) = cohort.run(
-            &self.config,
-            self.runtime,
-            |ends| self.serve(ends, t_count, dim, plan, fingerprint, resume, session),
-            |t, solver| AsyncDeviceMachine {
-                user: wire_u32(t),
-                t,
-                solver,
-                spec,
-                last: None,
-                sent: None,
-                stale: 0,
-                fresh: 0,
-                panic_at: plan.panic_round(t),
-            },
-        )?;
+        let (server_out, exits) =
+            cohort.run(&self.config, self.runtime, self.spec, plan, |ends| {
+                self.serve(ends, t_count, dim, plan, fingerprint, resume, session)
+            })?;
 
         let (model, mut report) = server_out?;
         for out in exits.outputs {
-            let out =
-                out.unwrap_or(ClientOutcome { stats: TrafficStats::default(), stale: 0, fresh: 0 });
-            report.per_user_traffic.push(out.stats);
-            report.stale_replies.push(out.stale);
-            report.fresh_replies.push(out.fresh);
+            let DeviceOutcome { stats, stale, fresh, .. } = out.unwrap_or_default();
+            report.per_user_traffic.push(stats);
+            report.stale_replies.push(stale);
+            report.fresh_replies.push(fresh);
         }
         report.protocol_errors = report.protocol_errors.saturating_add(exits.panicked.len() as u64);
         report.panicked = exits.panicked;
@@ -636,7 +476,7 @@ impl AsyncDistributedPlos {
         resume: Option<ConsensusState>,
         mut session: Option<CkptSession>,
     ) -> Result<(PersonalizedModel, AsyncReport), CoreError> {
-        let mut fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default());
+        let mut fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default(), dim);
         let (rho, lambda) = (self.config.rho, self.config.lambda);
         let bound = self.spec.staleness_bound;
         // S = 0 is a barrier pass; S > 0 closes on quiescence.
@@ -654,40 +494,39 @@ impl AsyncDistributedPlos {
         let mut ledger = Ledger { outstanding: vec![None; t_count] };
         // The consensus state (its `round` is the epoch) and device slots.
         let (mut st, mut slots) = (Consensus::new(dim), Slots::new(t_count, dim));
-        let (mut start_cccp, mut refine_start, mut skip_advance) = (0, 0, false);
+        let (mut start_cccp, mut refine_start) = (0, 0);
         if let Some(mut rec) = resume {
             // Adopt the checkpointed roster, then reposition the survivors:
             // at a CCCP/refinement boundary every device's own anchor
             // equals the server-held w_t slot, so the Restore handshake
-            // re-seats the fleet exactly.
+            // re-seats the fleet exactly (and each device adopts the next
+            // assignment's CCCP round without re-linearizing again).
             fleet.restore_roster(&rec.roster);
-            let restore = fleet.send_restore(&rec, dim);
+            let restore = fleet.send_restore(&rec);
             ledger.await_all(&fleet, rec.round);
-            ledger.collect(&mut fleet, rec.round, bound, barrier, &restore)?;
+            ledger.collect(&mut fleet, rec.round, true, bound, barrier, &restore)?;
             (st, slots) = Consensus::from_record(&mut rec);
-            (start_cccp, refine_start, skip_advance) = match st.phase {
-                // The handshake already repositioned every device at its
-                // boundary anchor; sending CccpAdvance again would
-                // double-linearize.
-                Phase::Cccp => (st.cccp_round as usize, 0, true),
+            (start_cccp, refine_start) = match st.phase {
+                Phase::Cccp => (st.cccp_round as usize, 0),
                 Phase::Refine { rounds_done } => {
-                    (self.config.max_cccp_rounds, rounds_done as usize, false)
+                    (self.config.max_cccp_rounds, rounds_done as usize)
                 }
             };
         } else {
             // ---- Init epoch 0: average provider hyperplanes (identical to
             // Algorithm 2). ----
-            let zero = Vector::zeros(dim);
-            let init = |_t: usize| Message::AsyncBroadcast {
-                epoch: 0,
-                staleness_bound: bound,
+            let (zero, t_count) = (Vector::zeros(dim), wire_u32(t_count));
+            let init = |_t: usize| Message::Assign {
+                round: 0,
+                phase: PHASE_INIT,
+                cccp_round: 0,
+                t_count,
                 w0: zero.clone(),
                 u_t: zero.clone(),
             };
             fleet.send_alive(&init);
             ledger.await_all(&fleet, 0);
-            let replies = ledger.collect(&mut fleet, 0, bound, barrier, &init)?;
-            fleet.publish_roster();
+            let replies = ledger.collect(&mut fleet, 0, false, bound, barrier, &init)?;
             let (sum, contributors) = consensus::init_sum(replies.iter().map(|r| &r.1), dim);
             st.w0 = consensus::init_w0(&sum, contributors, self.config.seed);
         }
@@ -698,25 +537,24 @@ impl AsyncDistributedPlos {
                 break;
             }
             st.cccp_rounds += 1;
-            if cccp_round > 0 && !skip_advance {
-                fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round: wire_u32(cccp_round) });
-                fleet.publish_roster();
-            }
-            skip_advance = false;
-            // The linearization changed: every in-flight assignment is
-            // void, and its eventual reply a late discard.
+            // The linearization changes with this round's assignments: every
+            // in-flight assignment is void, and its eventual reply a late
+            // discard.
             ledger.outstanding.fill(None);
+            let cccp = wire_u32(cccp_round);
 
             let mut applied = 0usize;
             let mut passes = 0usize;
             while applied < self.config.max_admm_iters && passes < pass_cap {
                 passes += 1;
                 st.round = st.round.saturating_add(1);
-                let epoch = st.round;
+                let (epoch, alive) = (st.round, wire_u32(fleet.alive_count()));
                 // The same assignment serves the barrier re-sends.
-                let assignment = |t: usize| Message::AsyncBroadcast {
-                    epoch,
-                    staleness_bound: bound,
+                let assignment = |t: usize| Message::Assign {
+                    round: epoch,
+                    phase: PHASE_ADMM,
+                    cccp_round: cccp,
+                    t_count: alive,
                     w0: st.w0.clone(),
                     u_t: slots.u.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
                 };
@@ -742,11 +580,9 @@ impl AsyncDistributedPlos {
                         }
                     }
                 }
-                fleet.publish_roster();
 
-                let arrived = ledger.collect(&mut fleet, epoch, bound, pass, &assignment)?;
+                let arrived = ledger.collect(&mut fleet, epoch, false, bound, pass, &assignment)?;
                 let folded = arrived.len();
-                fleet.publish_roster();
                 if folded == 0 {
                     // Nothing arrived in the window: the consensus state is
                     // unchanged, so applying Eq. (23) would only replay the
@@ -821,14 +657,22 @@ impl AsyncDistributedPlos {
         for refine_round in refine_start..self.config.refine_rounds {
             st.round = st.round.saturating_add(1);
             ledger.outstanding.fill(None);
-            let round = st.round;
-            let refine = |_t: usize| Message::Refine { round, w0: st.w0.clone() };
+            let (round, alive) = (st.round, wire_u32(fleet.alive_count()));
+            let refine = |_t: usize| Message::Assign {
+                round,
+                phase: PHASE_REFINE,
+                cccp_round: st.cccp_round,
+                t_count: alive,
+                w0: st.w0.clone(),
+                u_t: Vector::zeros(0),
+            };
             fleet.send_alive(&refine);
             ledger.await_all(&fleet, round);
-            for (t, w, v, xi) in ledger.collect(&mut fleet, round, bound, barrier, &refine)? {
+            for (t, w, v, xi) in
+                ledger.collect(&mut fleet, round, false, bound, barrier, &refine)?
+            {
                 slots.store(t, w, v, xi);
             }
-            fleet.publish_roster();
 
             let cohort = fleet.alive_count();
             st.w0 = consensus::refine_w0(&slots.refine_sum(&fleet.alive), cohort, lambda);

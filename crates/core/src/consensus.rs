@@ -17,11 +17,12 @@
 //! * [`Cohort`] — the fit scaffold: plan validation, data preparation, the
 //!   seed-salted per-device solvers and the device run.
 
+use crate::asynchronous::AsyncSpec;
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
 use crate::config::PlosConfig;
 use crate::distributed::{AdmmResiduals, Fleet, RoundParticipation};
 use crate::error::CoreError;
-use crate::local::LocalSolver;
+use crate::local::{Device, DeviceOutcome, LocalSolver};
 use crate::model::PersonalizedModel;
 use crate::problem::{self, PreparedUser};
 use crate::wire_u32;
@@ -29,14 +30,14 @@ use parking_lot::Mutex;
 use plos_ckpt::{CheckpointFile, CkptError, ConsensusState, Phase};
 use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
-use plos_net::{try_star, ClientExit, DeviceMachine, DeviceRuntime, Endpoint, FaultPlan};
+use plos_net::{try_star, ClientExit, DeviceRuntime, Endpoint, FaultPlan};
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
-/// splitmix64 — the seeded hash behind the async straggler process and the
-/// tree's leader election.
+/// splitmix64 — the seeded hash behind the devices' straggler process and
+/// the tree's leader election.
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -352,7 +353,9 @@ pub(crate) trait Aggregator {
     /// repositioned — or `None` for a fresh run.
     fn resume(&mut self) -> Result<Option<Consensus>, CoreError>;
     /// Scatters round `st.round` of `phase` against `st.w0` and gathers it
-    /// (`PHASE_INIT`, `PHASE_ADMM` or `PHASE_REFINE`).
+    /// (`PHASE_INIT`, `PHASE_ADMM` or `PHASE_REFINE`). The assignments
+    /// carry `st.cccp_round`: a device re-linearizes when it moves past the
+    /// CCCP round it last solved in.
     fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError>;
     /// Commits `w0` for the round just gathered and returns its residual
     /// partials: `[Σ‖w_t − w0⁺ − v_t‖², 0]` after the ADMM u-update,
@@ -360,8 +363,6 @@ pub(crate) trait Aggregator {
     fn commit(&mut self, round: u32, phase: u8, w0: &Vector) -> Result<[ExactSum; 2], CoreError>;
     /// CCCP objective partials `(Σ‖v_t‖², Σ ξ_t)` and the live cohort.
     fn objective(&mut self) -> (ExactSum, ExactSum, usize);
-    /// Tells the devices to re-linearize for CCCP round `cccp_round`.
-    fn advance_cccp(&mut self, cccp_round: usize) -> Result<(), CoreError>;
     /// Attendance of the last gathered round.
     fn participation(&self) -> Option<RoundParticipation>;
     /// Snapshot seam after every ADMM iteration and refinement round.
@@ -404,9 +405,6 @@ pub(crate) fn run_schedule(
         let inner_done = resumed_round && st.inner_done;
         if !resumed_round {
             st.cccp_rounds += 1;
-            if cccp_round > 0 {
-                agg.advance_cccp(cccp_round)?;
-            }
         }
         st.cccp_round = wire_u32(cccp_round);
         // A snapshot taken after the inner loop finished leaves only the
@@ -608,25 +606,23 @@ impl Cohort {
         Ok(Cohort { t_count: prepared.users.len(), dim: prepared.dim, users: prepared.users })
     }
 
-    /// Runs `server` against one device per user under `runtime`. Each
-    /// device gets its own [`LocalSolver`] with a per-device salted seed,
-    /// so refinement restarts differ across users and no device can tell
-    /// which server drives it.
+    /// Runs `server` against one [`Device`] per user under `runtime`, with
+    /// straggler process `spec` and the chaos crashes of `plan`. Each device
+    /// gets its own [`LocalSolver`] with a per-device salted seed, so
+    /// refinement restarts differ across users and no device can tell which
+    /// server drives it.
     // Allowed: the slot map is created with one entry per device index and
     // the network runs each device closure exactly once per index, so the
     // take-once expect cannot fail.
     #[allow(clippy::expect_used)]
-    pub(crate) fn run<M, R>(
+    pub(crate) fn run<R>(
         self,
         config: &PlosConfig,
         runtime: DeviceRuntime,
+        spec: AsyncSpec,
+        plan: &FaultPlan,
         server: impl FnOnce(&mut Vec<Endpoint>) -> R,
-        machine: impl Fn(usize, LocalSolver) -> M + Sync,
-    ) -> Result<(R, Exits<M::Output>), CoreError>
-    where
-        M: DeviceMachine,
-        M::Output: Send,
-    {
+    ) -> Result<(R, Exits<DeviceOutcome>), CoreError> {
         let t_count = self.t_count;
         // Hand each device its own data through a take-once slot map (the
         // machine factory is shared across threads).
@@ -645,7 +641,7 @@ impl Cohort {
             try_star(t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
         let (out, exits) = network.run_devices(runtime, server, |t| {
             let solver = slots.lock().get_mut(t).and_then(Option::take);
-            machine(t, solver.expect("each device slot is taken exactly once"))
+            Device::new(t, solver.expect("each device slot is taken exactly once"), spec, plan)
         });
         let mut outputs = Vec::with_capacity(exits.len());
         let mut panicked = Vec::new();

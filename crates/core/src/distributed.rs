@@ -4,14 +4,14 @@
 //! through [`plos_net`] messages; raw samples never leave the device
 //! closures. Per CCCP round the server drives the ADMM loop:
 //!
-//! * **scatter** `Broadcast { w0, u_t }` to every device,
+//! * **scatter** `Assign { w0, u_t }` to every device,
 //! * devices solve the local QP of Eq. (22) ([`LocalSolver`]) and **gather**
-//!   back `ClientUpdate { w_t, v_t, ξ_t }`,
+//!   back `Update { w_t, v_t, ξ_t }`,
 //! * the server applies the closed-form updates of Eq. (23) and stops the
 //!   loop on the residual criterion of Eq. (24),
 //! * when the objective `L` stops improving the server either advances CCCP
-//!   (`CccpAdvance`, devices re-linearize around their own `w_t`) or sends
-//!   `Shutdown`.
+//!   (the next round's assignments carry the next `cccp_round`, and devices
+//!   re-linearize around their own `w_t`) or sends `Shutdown`.
 //!
 //! # Fault tolerance
 //!
@@ -24,9 +24,9 @@
 //!   live roster replied; stragglers keep their previous `(w_t, v_t, ξ_t)`
 //!   (carry-forward) and rejoin next round;
 //! * a device that misses [`FaultTolerance::evict_after`] consecutive rounds
-//!   (or whose link reports `Disconnected`) is evicted; survivors are told
-//!   the new cohort size via `RosterUpdate` so they rescale `κ = λ/T` — and
-//!   with it the `Σ_k γ_kt ≤ T/2λ` dual cap — while the server shrinks every
+//!   (or whose link reports `Disconnected`) is evicted; every assignment
+//!   carries the cohort size, so survivors rescale `κ = λ/T` — and with it
+//!   the `Σ_k γ_kt ≤ T/2λ` dual cap — while the server shrinks every
 //!   `T`-dependent denominator of Eq. (23)/(24);
 //! * training then completes with [`DistributedReport::degraded`] set
 //!   instead of hanging or panicking.
@@ -36,11 +36,12 @@
 //! pass-through, so [`DistributedPlos::fit`] is bit-identical to the
 //! fault-free synchronous protocol.
 
+use crate::asynchronous::AsyncSpec;
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
 use crate::config::{FaultTolerance, PlosConfig, RetryPolicy};
 use crate::consensus::{self, Aggregator, Cohort, Consensus, Exits, Gathered, Slots};
 use crate::error::CoreError;
-use crate::local::LocalSolver;
+use crate::local::DeviceOutcome;
 use crate::model::PersonalizedModel;
 use crate::sharded::Topology;
 use crate::wire_u32;
@@ -49,10 +50,7 @@ use plos_ckpt::{
 };
 use plos_linalg::{ExactSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
-use plos_net::{
-    DeviceMachine, DeviceRuntime, DeviceStep, FaultPlan, FaultyEndpoint, Message, TrafficStats,
-    TransportError,
-};
+use plos_net::{DeviceRuntime, FaultPlan, FaultyEndpoint, Message, TrafficStats, TransportError};
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
 use std::time::{Duration, Instant};
@@ -212,13 +210,14 @@ impl DistributedReport {
 /// the crash is a counted protocol error, not a process abort.
 pub(crate) fn finish_report(
     mut report: DistributedReport,
-    exits: Exits<ClientOutcome>,
+    exits: Exits<DeviceOutcome>,
     started: Instant,
 ) -> DistributedReport {
     (report.per_user_traffic, report.per_user_compute) = exits
         .outputs
         .into_iter()
-        .map(|out| out.map_or((TrafficStats::default(), Duration::ZERO), |o| (o.stats, o.compute)))
+        .map(Option::unwrap_or_default)
+        .map(|o| (o.stats, o.compute))
         .unzip();
     if !exits.panicked.is_empty() {
         report.protocol_errors = report.protocol_errors.saturating_add(exits.panicked.len() as u64);
@@ -250,115 +249,6 @@ pub(crate) fn finish_report(
     report
 }
 
-/// What each device hands back when it shuts down.
-pub(crate) struct ClientOutcome {
-    pub(crate) stats: TrafficStats,
-    pub(crate) compute: Duration,
-}
-
-/// The device side of the synchronous protocol as a resumable state
-/// machine: answer broadcasts with local solves until shutdown. Both
-/// runners drive it — [`plos_net::drive_blocking`] on a dedicated thread,
-/// or the [`plos_net::MuxNetwork`] sweep with K siblings per worker — so
-/// the protocol logic cannot drift between runtimes. Timeouts and
-/// corrupted frames never reach it; the server's retry layer re-broadcasts
-/// anything that mattered.
-pub(crate) struct SyncDeviceMachine {
-    pub(crate) user: u32,
-    pub(crate) solver: LocalSolver,
-    pub(crate) compute: Duration,
-    /// Chaos injection: panic on the first broadcast at or after this round
-    /// ([`FaultPlan::panic_round`]), modelling an app crash mid-ADMM.
-    pub(crate) panic_at: Option<u32>,
-}
-
-impl SyncDeviceMachine {
-    /// The device machine for device `t` under `plan`.
-    pub(crate) fn new(t: usize, solver: LocalSolver, plan: &FaultPlan) -> Self {
-        SyncDeviceMachine {
-            user: wire_u32(t),
-            solver,
-            compute: Duration::ZERO,
-            panic_at: plan.panic_round(t),
-        }
-    }
-}
-
-impl DeviceMachine for SyncDeviceMachine {
-    type Output = ClientOutcome;
-
-    // The planned chaos crash must be a genuine panic: the whole point of
-    // the regression is that the runtime contains it per-device.
-    #[allow(clippy::panic)]
-    fn on_message(&mut self, message: Message) -> DeviceStep {
-        // plos-lint: allow(D2): per-device compute-time metering only
-        let start = Instant::now();
-        let (round, update) = match message {
-            Message::Broadcast { round, w0, u_t } => {
-                if self.panic_at.is_some_and(|at| round >= at) {
-                    panic!("planned chaos: device {} crashed at round {round}", self.user);
-                }
-                if round == 0 {
-                    // Init round: contribute a local hyperplane if this
-                    // device has labels of both classes.
-                    let w_init =
-                        self.solver.initial_hyperplane().unwrap_or_else(|| Vector::zeros(w0.len()));
-                    (round, (w_init, Vector::zeros(w0.len()), 0.0))
-                } else {
-                    let update = self.solver.solve_or_consensus(&w0, &u_t);
-                    (round, (update.w_t, update.v_t, update.xi_t))
-                }
-            }
-            Message::Refine { round, w0 } => {
-                let update = self.solver.refine_or_consensus(&w0, round);
-                (round, (update.w_t, update.v_t, update.xi_t))
-            }
-            Message::CccpAdvance { .. } => {
-                self.solver.advance_cccp();
-                return DeviceStep::NeedRecv;
-            }
-            // The cohort shrank: rescale every T-dependent quantity,
-            // notably κ = λ/T in the local objective.
-            Message::RosterUpdate { t_count } => {
-                self.solver.set_cohort_size(t_count as usize);
-                return DeviceStep::NeedRecv;
-            }
-            // Checkpoint resume: adopt the server's recorded CCCP anchor
-            // and cohort size, then ack so the server knows this device is
-            // repositioned before it replays the interrupted round. The ack
-            // carries empty vectors — it is a liveness signal, not an
-            // update.
-            Message::Restore { round, t_count, w_t } => {
-                self.solver.restore(w_t, t_count as usize);
-                return DeviceStep::Send(Message::ClientUpdate {
-                    round,
-                    user: self.user,
-                    w_t: Vector::zeros(0),
-                    v_t: Vector::zeros(0),
-                    xi_t: 0.0,
-                });
-            }
-            // Devices never receive peer updates or async-protocol frames;
-            // drop the stray frame rather than dying on a protocol hiccup.
-            Message::ClientUpdate { .. }
-            | Message::AsyncBroadcast { .. }
-            | Message::AsyncUpdate { .. }
-            | Message::ShardBroadcast { .. }
-            | Message::PartialSum { .. }
-            | Message::ShardCommit { .. }
-            | Message::ShardResidual { .. } => return DeviceStep::NeedRecv,
-            Message::Shutdown => return DeviceStep::Done,
-        };
-        self.compute += start.elapsed();
-        let (w_t, v_t, xi_t) = update;
-        DeviceStep::Send(Message::ClientUpdate { round, user: self.user, w_t, v_t, xi_t })
-    }
-
-    fn finish(self, stats: TrafficStats) -> ClientOutcome {
-        ClientOutcome { stats, compute: self.compute }
-    }
-}
-
 /// One accepted device reply: `(device, w_t, v_t, ξ_t)`.
 pub(crate) type Reply = (usize, Vector, Vector, f64);
 
@@ -381,11 +271,13 @@ pub(crate) trait Gather {
     fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message);
 }
 
-/// The sync quorum gather: collects `ClientUpdate`s for one round under
-/// the retry policy (initial window, bounded re-broadcasts with
-/// exponential backoff, hard round deadline).
+/// The sync quorum gather: collects `Update`s for one round under the
+/// retry policy (initial window, bounded re-broadcasts with exponential
+/// backoff, hard round deadline).
 struct QuorumGather<'g> {
     round: u32,
+    /// The replies' payload is discarded (restore acks, resume replays).
+    ack: bool,
     ft: FaultTolerance,
     rebroadcast: &'g dyn Fn(usize) -> Message,
     accepted: Vec<Reply>,
@@ -431,16 +323,12 @@ impl Gather for QuorumGather<'_> {
 
     fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message) {
         match frame {
-            Message::ClientUpdate { round, user, w_t, v_t, xi_t } => {
+            Message::Update { round, user, w_t, v_t, xi_t, .. } => {
                 if round != self.round || !self.awaiting(t) {
                     // A late reply to a closed round, or a duplicate:
                     // discard by tag, never merge.
                     fleet.late_discards = fleet.late_discards.saturating_add(1);
-                } else if user as usize != fleet.id(t) {
-                    // An update attributed to the wrong device is a
-                    // counted, recoverable protocol error.
-                    fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
-                } else {
+                } else if fleet.admits(t, user, self.ack, &w_t, &v_t) {
                     if let Some(slot) = self.replied.get_mut(t) {
                         *slot = true;
                     }
@@ -471,13 +359,8 @@ pub(crate) struct Fleet<'a> {
     pub(crate) stale_discards: u64,
     /// Async only: assignments re-issued after going over-stale.
     pub(crate) reassignments: u64,
-    /// Set when an eviction changed the cohort size and the survivors have
-    /// not been told yet.
-    roster_dirty: bool,
-    /// Whether this fleet announces its own cohort size. A regional
-    /// sub-fleet does not: its devices' `T` is the global cohort, which the
-    /// root announces down the tree.
-    announces: bool,
+    /// Model dimension every stored reply must have.
+    dim: usize,
     /// Global device id carried on each link: identity for the flat star,
     /// the shard's global indices for a regional aggregator's sub-fleet
     /// (`crate::sharded`). Replies are attributed by this id, and eviction
@@ -486,9 +369,9 @@ pub(crate) struct Fleet<'a> {
 }
 
 impl<'a> Fleet<'a> {
-    pub(crate) fn new(links: Vec<FaultyEndpoint<'a>>, ft: FaultTolerance) -> Self {
+    pub(crate) fn new(links: Vec<FaultyEndpoint<'a>>, ft: FaultTolerance, dim: usize) -> Self {
         let ids = (0..links.len()).collect();
-        Fleet { announces: true, ..Self::with_ids(links, ft, ids) }
+        Self::with_ids(links, ft, ids, dim)
     }
 
     /// A sub-fleet whose link `i` talks to global device `ids[i]` — the
@@ -497,6 +380,7 @@ impl<'a> Fleet<'a> {
         links: Vec<FaultyEndpoint<'a>>,
         ft: FaultTolerance,
         ids: Vec<usize>,
+        dim: usize,
     ) -> Self {
         let n = links.len();
         debug_assert_eq!(ids.len(), n);
@@ -511,8 +395,7 @@ impl<'a> Fleet<'a> {
             late_discards: 0,
             stale_discards: 0,
             reassignments: 0,
-            roster_dirty: false,
-            announces: false,
+            dim,
             ids,
         }
     }
@@ -530,6 +413,26 @@ impl<'a> Fleet<'a> {
         self.ids.get(t).copied().unwrap_or(t)
     }
 
+    /// The acceptance check every gather applies to an `Update` from link
+    /// `t`: it must name the link's device and — unless it is an `ack`
+    /// whose payload the gather discards — carry model-dimension vectors.
+    /// A refused frame is a counted protocol error and is never stored.
+    pub(crate) fn admits(
+        &mut self,
+        t: usize,
+        user: u32,
+        ack: bool,
+        w_t: &Vector,
+        v_t: &Vector,
+    ) -> bool {
+        let fits = ack || (w_t.len() == self.dim && v_t.len() == self.dim);
+        if user as usize == self.id(t) && fits {
+            return true;
+        }
+        self.protocol_errors = self.protocol_errors.saturating_add(1);
+        false
+    }
+
     /// Removes a device from the roster permanently.
     pub(crate) fn evict(&mut self, t: usize) {
         let newly_evicted = match self.alive.get_mut(t) {
@@ -542,7 +445,6 @@ impl<'a> Fleet<'a> {
         if newly_evicted {
             let global = self.id(t);
             self.evicted.push(global);
-            self.roster_dirty = true;
             plos_obs::emit(
                 "eviction",
                 &[("device", global.into()), ("alive", self.alive_count().into())],
@@ -575,18 +477,6 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// If evictions changed the cohort size, tells the survivors the new
-    /// `T` so they rescale `κ = λ/T` (and the `Σ_k γ_kt ≤ T/2λ` dual cap).
-    pub(crate) fn publish_roster(&mut self) {
-        while self.announces && self.roster_dirty {
-            self.roster_dirty = false;
-            let t_count = wire_u32(self.alive_count());
-            // Publishing can itself reveal dead links, re-dirtying the
-            // roster; the loop converges because evictions are monotone.
-            self.send_alive(&move |_t| Message::RosterUpdate { t_count });
-        }
-    }
-
     /// Best-effort shutdown broadcast; failures are irrelevant because the
     /// endpoints drop right after and disconnect every survivor.
     pub(crate) fn shutdown(&mut self) {
@@ -603,17 +493,13 @@ impl<'a> Fleet<'a> {
     /// its CCCP anchor — the recorded one, or its own last `w_t` where the
     /// record keeps none — and the checkpointed cohort size. Returns the
     /// `Restore` builder for the acknowledging collection's re-sends.
-    pub(crate) fn send_restore(
-        &mut self,
-        rec: &ConsensusState,
-        dim: usize,
-    ) -> impl Fn(usize) -> Message {
+    pub(crate) fn send_restore(&mut self, rec: &ConsensusState) -> impl Fn(usize) -> Message {
         for (link, &alive) in self.links.iter_mut().zip(&self.alive) {
             if !alive {
                 let _ = link.send(&Message::Shutdown);
             }
         }
-        let (round, t_count) = (rec.round, wire_u32(self.alive_count()));
+        let (round, t_count, dim) = (rec.round, wire_u32(self.alive_count()), self.dim);
         let anchors = if rec.anchors.is_empty() { &rec.w_ts } else { &rec.anchors }.clone();
         let restore = move |t: usize| Message::Restore {
             round,
@@ -649,7 +535,6 @@ impl<'a> Fleet<'a> {
         self.late_discards = roster.late_discards;
         self.stale_discards = roster.stale_discards;
         self.reassignments = roster.reassignments;
-        self.roster_dirty = false;
     }
 
     /// The roster in checkpoint form.
@@ -726,16 +611,17 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// One quorum gather: collects the `ClientUpdate`s for `round` under
-    /// the retry policy and returns the accepted ones. The round closes when the whole live roster
+    /// One quorum gather: collects the `Update`s for `round` under the
+    /// retry policy and returns the accepted ones. The round closes when the whole live roster
     /// replied, or the quorum is met after the initial window, or the round
     /// deadline expires. Devices that stay silent accumulate a strike and
     /// are evicted after `evict_after` consecutive misses.
     ///
-    /// `record = false` marks a replay gather during checkpoint resume: it
-    /// collects replies under the same retry machinery but leaves the
-    /// participation log and strike counters untouched, because the
-    /// uninterrupted run it reconstructs never had these extra rounds.
+    /// `record = false` marks a restore or replay gather during checkpoint
+    /// resume: it collects replies under the same retry machinery but
+    /// leaves the participation log and strike counters untouched, because
+    /// the uninterrupted run it reconstructs never had these extra rounds,
+    /// and its replies are acknowledgements whose payload is discarded.
     ///
     /// # Errors
     ///
@@ -758,6 +644,7 @@ impl<'a> Fleet<'a> {
         let started = Instant::now();
         let mut quorum = QuorumGather {
             round,
+            ack: !record,
             ft: self.ft.clone(),
             rebroadcast,
             accepted: Vec::new(),
@@ -810,13 +697,20 @@ impl<'a> Fleet<'a> {
     }
 }
 
-/// One logged ADMM broadcast, addressed to device `t`.
-fn broadcast(rec: &BroadcastRecord, t: usize) -> Message {
-    Message::Broadcast {
-        round: rec.round,
-        w0: rec.w0.clone(),
-        u_t: rec.us.get(t).cloned().unwrap_or_else(|| Vector::zeros(rec.w0.len())),
-    }
+/// Round `rec.round`'s assignment to device `t`: the recorded `w0` and the
+/// device's dual — zeros at init, none in refinement.
+fn assignment(
+    rec: &BroadcastRecord,
+    phase: u8,
+    cccp_round: u32,
+    t_count: u32,
+    t: usize,
+) -> Message {
+    let u_t = match phase {
+        PHASE_REFINE => Vector::zeros(0),
+        _ => rec.us.get(t).cloned().unwrap_or_else(|| Vector::zeros(rec.w0.len())),
+    };
+    Message::Assign { round: rec.round, phase, cccp_round, t_count, w0: rec.w0.clone(), u_t }
 }
 
 /// A star: a server that gathers its devices directly and holds their
@@ -831,10 +725,12 @@ pub(crate) struct Star<'a> {
     session: Option<CkptSession>,
     fingerprint: u64,
     resume: Option<ConsensusState>,
+    /// The CCCP round `anchors` and `log` belong to.
+    cccp_round: u32,
     /// Each device's CCCP anchor: its `w_t` at the start of the current
     /// CCCP round (what its linearization signs derive from).
     anchors: Vec<Vector>,
-    /// The current CCCP round's broadcasts, for a resumed server to replay.
+    /// The current CCCP round's assignments, for a resumed server to replay.
     log: Vec<BroadcastRecord>,
     /// Slot-fold time.
     pub(crate) compute: Duration,
@@ -842,14 +738,15 @@ pub(crate) struct Star<'a> {
 
 impl<'a> Star<'a> {
     /// A star over `fleet` with no checkpoint session.
-    pub(crate) fn new(fleet: Fleet<'a>, dim: usize) -> Self {
-        let n = fleet.links.len();
+    pub(crate) fn new(fleet: Fleet<'a>) -> Self {
+        let (n, dim) = (fleet.links.len(), fleet.dim);
         Star {
             fleet,
             slots: Slots::new(n, dim),
             session: None,
             fingerprint: 0,
             resume: None,
+            cccp_round: 0,
             // CCCP round 0 anchors: devices linearize off the incoming w0
             // while their own w_t is still zero, and `LocalSolver::restore`
             // with a zero anchor reproduces exactly that state.
@@ -858,47 +755,32 @@ impl<'a> Star<'a> {
             compute: Duration::ZERO,
         }
     }
-}
 
-impl Aggregator for Star<'_> {
-    fn resume(&mut self) -> Result<Option<Consensus>, CoreError> {
-        let Some(mut rec) = self.resume.take() else { return Ok(None) };
-        self.fleet.restore_roster(&rec.roster);
-        // Reposition the survivors: each adopts its CCCP anchor and the
-        // checkpointed cohort size, then acks (unrecorded — the
-        // uninterrupted run never had these rounds).
-        let restore = self.fleet.send_restore(&rec, self.slots.dim);
-        self.fleet.gather(rec.round, false, &restore)?;
-        // Replay the interrupted CCCP round's broadcasts so each device
-        // rebuilds its working set bit for bit. Replies are discarded: the
-        // checkpointed server state is authoritative.
-        for logged in &rec.log {
-            let scatter = |t: usize| broadcast(logged, t);
-            self.fleet.send_alive(&scatter);
-            self.fleet.gather(logged.round, false, &scatter)?;
+    /// Scatters round `st.round` of `phase` with cohort size `t_count` and
+    /// gathers it. The flat star announces its own live roster; a regional
+    /// aggregator relays the root's global cohort.
+    pub(crate) fn run_round(
+        &mut self,
+        st: &Consensus,
+        phase: u8,
+        t_count: u32,
+    ) -> Result<Gathered, CoreError> {
+        let (round, cccp_round) = (st.round, st.cccp_round);
+        if phase == PHASE_ADMM && cccp_round != self.cccp_round {
+            // New linearization: devices re-anchor at their own w_t. Record
+            // the anchors and start a fresh replay log.
+            self.anchors = self.slots.w.clone();
+            self.log.clear();
+            self.cccp_round = cccp_round;
         }
-        self.anchors = std::mem::take(&mut rec.anchors);
-        self.log = std::mem::take(&mut rec.log);
-        let (st, slots) = Consensus::from_record(&mut rec);
-        self.slots = slots;
-        Ok(Some(st))
-    }
-
-    fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError> {
-        let round = st.round;
-        // Init and ADMM rounds scatter `(w0, u_t)` — both zero at init —
-        // and the same closure serves the retry re-broadcasts. The replay
-        // log records each ADMM broadcast so a resumed server can rebuild
+        // One closure serves the scatter and the retry re-sends. The replay
+        // log records each ADMM assignment so a resumed server can rebuild
         // device state.
         let us = if phase == PHASE_ADMM { self.slots.u.clone() } else { Vec::new() };
         let rec = BroadcastRecord { round, w0: st.w0.clone(), us };
-        let request = |t: usize| match phase {
-            PHASE_REFINE => Message::Refine { round, w0: rec.w0.clone() },
-            _ => broadcast(&rec, t),
-        };
+        let request = |t: usize| assignment(&rec, phase, cccp_round, t_count, t);
         self.fleet.send_alive(&request);
         let replies = self.fleet.gather(round, true, &request)?;
-        self.fleet.publish_roster();
         if phase == PHASE_ADMM && self.session.is_some() {
             self.log.push(rec);
         }
@@ -923,6 +805,38 @@ impl Aggregator for Star<'_> {
         self.compute += t0.elapsed();
         Ok(Gathered { sum, contributors, cohort: self.fleet.alive_count() })
     }
+}
+
+impl Aggregator for Star<'_> {
+    fn resume(&mut self) -> Result<Option<Consensus>, CoreError> {
+        let Some(mut rec) = self.resume.take() else { return Ok(None) };
+        self.fleet.restore_roster(&rec.roster);
+        // Reposition the survivors: each adopts its CCCP anchor and the
+        // checkpointed cohort size, then acks (unrecorded — the
+        // uninterrupted run never had these rounds).
+        let restore = self.fleet.send_restore(&rec);
+        self.fleet.gather(rec.round, false, &restore)?;
+        // Replay the interrupted CCCP round's assignments so each device
+        // rebuilds its working set bit for bit. Replies are discarded: the
+        // checkpointed server state is authoritative.
+        let t_count = wire_u32(self.fleet.alive_count());
+        for logged in &rec.log {
+            let scatter = |t: usize| assignment(logged, PHASE_ADMM, rec.cccp_round, t_count, t);
+            self.fleet.send_alive(&scatter);
+            self.fleet.gather(logged.round, false, &scatter)?;
+        }
+        self.cccp_round = rec.cccp_round;
+        self.anchors = std::mem::take(&mut rec.anchors);
+        self.log = std::mem::take(&mut rec.log);
+        let (st, slots) = Consensus::from_record(&mut rec);
+        self.slots = slots;
+        Ok(Some(st))
+    }
+
+    fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError> {
+        let t_count = wire_u32(self.fleet.alive_count());
+        self.run_round(st, phase, t_count)
+    }
 
     fn commit(&mut self, _round: u32, phase: u8, w0: &Vector) -> Result<[ExactSum; 2], CoreError> {
         // plos-lint: allow(D2): server compute-time metering only
@@ -942,17 +856,6 @@ impl Aggregator for Star<'_> {
         (v_sq, xi, self.fleet.alive_count())
     }
 
-    fn advance_cccp(&mut self, cccp_round: usize) -> Result<(), CoreError> {
-        let cccp_round = wire_u32(cccp_round);
-        self.fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round });
-        self.fleet.publish_roster();
-        // New linearization: devices re-anchor at their own w_t. Record the
-        // anchors and start a fresh replay log.
-        self.anchors = self.slots.w.clone();
-        self.log.clear();
-        Ok(())
-    }
-
     fn participation(&self) -> Option<RoundParticipation> {
         self.fleet.participation.last().copied()
     }
@@ -962,7 +865,7 @@ impl Aggregator for Star<'_> {
         let mut rec =
             st.record(KIND_DISTRIBUTED, self.fingerprint, Some((&self.slots, &self.fleet)));
         // Refinement anchors each device at its own last w_t (an empty
-        // anchor list) and replays no broadcasts.
+        // anchor list) and replays no assignments.
         if st.phase == Phase::Cccp {
             rec.anchors = self.anchors.clone();
             rec.log = self.log.clone();
@@ -1107,12 +1010,10 @@ impl DistributedPlos {
             dim,
         )?;
 
-        let (server_out, exits) = cohort.run(
-            &self.config,
-            self.runtime,
-            |ends| {
-                let fleet = Fleet::new(plan.wrap_links(ends), self.fault_tolerance.clone());
-                let mut star = Star { session, fingerprint, resume, ..Star::new(fleet, dim) };
+        let (server_out, exits) =
+            cohort.run(&self.config, self.runtime, AsyncSpec::SYNCHRONOUS, plan, |ends| {
+                let fleet = Fleet::new(plan.wrap_links(ends), self.fault_tolerance.clone(), dim);
+                let mut star = Star { session, fingerprint, resume, ..Star::new(fleet) };
                 let st = consensus::run_schedule(&self.config, &mut star, dim)?;
                 star.fleet.shutdown();
                 // The run completed: drop the snapshot so the next run starts
@@ -1137,9 +1038,7 @@ impl DistributedPlos {
                     fleet.late_discards,
                 );
                 Ok::<_, CoreError>((model, report))
-            },
-            |t, solver| SyncDeviceMachine::new(t, solver, plan),
-        )?;
+            })?;
         let (model, report) = server_out?;
         Ok((model, finish_report(report, exits, started)))
     }
@@ -1426,6 +1325,31 @@ mod tests {
             "a checkpoint policy on the tree must be refused, got {result:?}"
         );
         assert!(!dir.join("distributed.ckpt").exists());
+    }
+
+    #[test]
+    fn wrong_length_update_is_a_protocol_error_not_stored() {
+        let (server, device) = plos_net::Endpoint::pair();
+        let links = FaultPlan::none().wrap_links(std::slice::from_ref(&server));
+        let mut star = Star::new(Fleet::new(links, FaultTolerance::fast(), 2));
+        let update = |dim: usize| Message::Update {
+            round: 1,
+            basis: 1,
+            user: 0,
+            w_t: Vector::filled(dim, 1.0),
+            v_t: Vector::zeros(dim),
+            xi_t: 0.5,
+        };
+        // A malformed reply arrives first, then the well-formed one.
+        device.send(&update(3)).unwrap();
+        device.send(&update(2)).unwrap();
+        let st = Consensus { round: 1, ..Consensus::new(2) };
+        let gathered = star.run_round(&st, PHASE_ADMM, 1).unwrap();
+        assert_eq!(star.fleet.protocol_errors, 1);
+        assert_eq!(star.fleet.late_discards, 0);
+        assert_eq!(star.slots.w[0], Vector::filled(2, 1.0));
+        assert_eq!(gathered.sum.value(), Vector::filled(2, 1.0));
+        assert!(matches!(device.recv().unwrap(), Message::Assign { round: 1, .. }));
     }
 
     #[test]

@@ -22,12 +22,21 @@
 //! iterations within a CCCP round (old constraints remain valid constraints
 //! of the same convexified problem) and is cleared when the server advances
 //! CCCP, because the sign pattern changes.
+//!
+//! [`Device`] is the protocol state machine around the solver: the one
+//! device side of the flat star, the sharded tree and the async server.
 
+use crate::asynchronous::AsyncSpec;
 use crate::config::PlosConfig;
+use crate::consensus::splitmix64;
 use crate::error::CoreError;
 use crate::problem::{self, Constraint, PreparedUser};
 use crate::prox;
+use crate::wire_u32;
 use plos_linalg::Vector;
+use plos_net::shard::{PHASE_INIT, PHASE_REFINE};
+use plos_net::{DeviceMachine, DeviceStep, FaultPlan, Message, TrafficStats};
+use std::time::{Duration, Instant};
 
 /// Device-resident solver state for one user.
 #[derive(Debug, Clone)]
@@ -113,10 +122,9 @@ impl LocalSolver {
     /// the working set and sign pattern so the next solve re-derives them
     /// from the anchor — exactly the state a device is in right after
     /// [`LocalSolver::advance_cccp`]. Replaying the interrupted CCCP round's
-    /// broadcasts then reproduces the pre-kill state bit for bit.
+    /// assignments then reproduces the pre-kill state bit for bit.
     pub fn restore(&mut self, w_t: Vector, t_count: usize) {
-        let dim = self.user.features.first().map_or(0, Vector::len);
-        if w_t.len() == dim {
+        if w_t.len() == self.dim() {
             self.w_t = w_t;
         }
         self.signs = None;
@@ -124,9 +132,10 @@ impl LocalSolver {
         self.set_cohort_size(t_count);
     }
 
-    /// Rescales the cohort size `T` after the server evicted dead devices
-    /// (`RosterUpdate`), so `κ = λ/T` — and with it the `Σ_k γ_kt ≤ T/2λ`
-    /// dual cap — matches the devices actually left in the consensus.
+    /// Rescales the cohort size `T` to the one an assignment announces
+    /// (smaller once the server evicted dead devices), so `κ = λ/T` — and
+    /// with it the `Σ_k γ_kt ≤ T/2λ` dual cap — matches the devices
+    /// actually left in the consensus.
     /// Ignores zero (a roster can never be empty while this device is in it).
     pub fn set_cohort_size(&mut self, t_count: usize) {
         if t_count > 0 {
@@ -137,6 +146,11 @@ impl LocalSolver {
     /// Current cohort size `T` used in `κ = λ/T`.
     pub fn cohort_size(&self) -> usize {
         self.t_count
+    }
+
+    /// Model dimension `d` (bias-augmented) of this user's data.
+    pub fn dim(&self) -> usize {
+        self.user.features.first().map_or(0, Vector::len)
     }
 
     /// Number of constraints currently in the device working set.
@@ -183,15 +197,19 @@ impl LocalSolver {
     ///
     /// # Errors
     ///
-    /// Propagates QP failures from the cutting-plane solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w0`/`u_t` dimensions don't match the data.
+    /// [`CoreError::Protocol`] when `w0`/`u_t` do not have the data's
+    /// dimension, and QP failures from the cutting-plane solves.
     pub fn solve(&mut self, w0: &Vector, u_t: &Vector) -> Result<LocalUpdate, CoreError> {
-        let dim = self.user.features.first().map_or(0, Vector::len);
-        assert_eq!(w0.len(), dim, "w0 dimension mismatch");
-        assert_eq!(u_t.len(), dim, "u_t dimension mismatch");
+        let dim = self.dim();
+        if w0.len() != dim || u_t.len() != dim {
+            return Err(CoreError::Protocol {
+                detail: format!(
+                    "w0/u_t dimensions {}/{} do not match the data's {dim}",
+                    w0.len(),
+                    u_t.len()
+                ),
+            });
+        }
 
         // Lazily (re-)derive the sign pattern: on the very first solve the
         // linearization point is the incoming global hyperplane, afterwards
@@ -270,6 +288,195 @@ impl LocalSolver {
         let v_t = &sol.w - w0;
         let xi_t = problem::true_user_loss(&self.user, &sol.w, &self.config);
         Ok(LocalUpdate { w_t: sol.w, v_t, xi_t })
+    }
+}
+
+/// What a device hands back when it shuts down (all zero for a device whose
+/// handler panicked).
+#[derive(Default)]
+pub(crate) struct DeviceOutcome {
+    pub(crate) stats: TrafficStats,
+    /// Time spent computing replies.
+    pub(crate) compute: Duration,
+    /// Assignments a busy device answered with its cached solution.
+    pub(crate) stale: usize,
+    /// Fresh local solves (ADMM and refinement).
+    pub(crate) fresh: usize,
+}
+
+/// The device side of every consensus protocol — the flat star, the
+/// tree's shards and the bounded-staleness async server — as one resumable
+/// state machine. Both runners drive it ([`plos_net::drive_blocking`] on a
+/// dedicated thread, or the [`plos_net::MuxNetwork`] sweep with K siblings
+/// per worker), so the protocol logic cannot drift between servers or
+/// runtimes.
+///
+/// Each `Assign` carries all the control state a round needs: the device
+/// re-linearizes when the assignment's CCCP round is past the one it last
+/// solved in, and takes the cohort size `T` from it. A lost frame is
+/// therefore recovered by the server's ordinary round re-send. A repeat of
+/// the latest round is answered from a one-entry reply cache, and an older
+/// round is ignored, so re-sends and duplicates never solve twice.
+/// Timeouts and corrupted frames never reach the machine.
+pub(crate) struct Device {
+    user: u32,
+    t: usize,
+    solver: LocalSolver,
+    /// The straggler process that decides busy or fresh (the synchronous
+    /// protocol's is [`AsyncSpec::SYNCHRONOUS`]: never busy).
+    spec: AsyncSpec,
+    /// CCCP round the solver is linearized for; `None` before the first
+    /// assignment and after a `Restore`, when the next one is adopted as is.
+    cccp_round: Option<u32>,
+    /// Latest fresh solution, tagged with the round it was computed against.
+    last: Option<(u32, LocalUpdate)>,
+    /// The reply to the latest round answered.
+    sent: Option<(u32, Message)>,
+    compute: Duration,
+    stale: usize,
+    fresh: usize,
+    /// Chaos injection: panic on the first assignment at or after this
+    /// round ([`FaultPlan::panic_round`]), modelling an app crash mid-ADMM.
+    panic_at: Option<u32>,
+}
+
+impl Device {
+    /// The machine for device `t` under straggler process `spec` and `plan`.
+    pub(crate) fn new(t: usize, solver: LocalSolver, spec: AsyncSpec, plan: &FaultPlan) -> Self {
+        Device {
+            user: wire_u32(t),
+            t,
+            solver,
+            spec,
+            cccp_round: None,
+            last: None,
+            sent: None,
+            compute: Duration::ZERO,
+            stale: 0,
+            fresh: 0,
+            panic_at: plan.panic_round(t),
+        }
+    }
+
+    /// Whether the device is busy when round `round`'s ADMM assignment
+    /// arrives: a stateless splitmix64 hash of `(seed, t, round)` mapped to
+    /// `[0, 1)`, so the straggler process is independent of message timing
+    /// and arrival order. Never under `S = 0`, which is what makes the bound
+    /// degenerate to the synchronous protocol.
+    fn busy(&self, round: u32) -> bool {
+        if self.spec.staleness_bound == 0 || self.spec.availability >= 1.0 {
+            return false;
+        }
+        let z = splitmix64(
+            self.spec.seed
+                ^ (self.t as u64).wrapping_mul(0xd129_0d3a_37cf_1e2b)
+                ^ u64::from(round).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        );
+        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+        unit >= self.spec.availability
+    }
+
+    /// Answers the assignment of `round`.
+    // The planned chaos crash must be a genuine panic: the whole point of
+    // the regression is that the runtime contains it per-device.
+    #[allow(clippy::panic)]
+    fn assign(
+        &mut self,
+        round: u32,
+        phase: u8,
+        cccp_round: u32,
+        t_count: u32,
+        w0: &Vector,
+        u_t: &Vector,
+    ) -> DeviceStep {
+        match &self.sent {
+            Some((r, reply)) if *r == round => return DeviceStep::Send(reply.clone()),
+            Some((r, _)) if *r > round => return DeviceStep::NeedRecv,
+            _ => {}
+        }
+        // A malformed assignment is dropped; the round's re-send (or its
+        // deadline) recovers it.
+        let dim = self.solver.dim();
+        let dual = if phase == PHASE_REFINE { 0 } else { dim };
+        if phase > PHASE_REFINE || w0.len() != dim || u_t.len() != dual {
+            return DeviceStep::NeedRecv;
+        }
+        if self.panic_at.is_some_and(|at| round >= at) {
+            panic!("planned chaos: device {} crashed at round {round}", self.user);
+        }
+        if self.cccp_round.is_some_and(|c| cccp_round > c) {
+            // New linearization: cached solutions are void.
+            self.solver.advance_cccp();
+            self.last = None;
+        }
+        self.cccp_round = Some(cccp_round);
+        self.solver.set_cohort_size(t_count as usize);
+        // plos-lint: allow(D2): per-device compute-time metering only
+        let start = Instant::now();
+        let (basis, update) = match (phase, &self.last) {
+            // Init round: contribute a local hyperplane if this device has
+            // labels of both classes.
+            (PHASE_INIT, _) => {
+                let w_t = self.solver.initial_hyperplane().unwrap_or_else(|| Vector::zeros(dim));
+                (round, LocalUpdate { w_t, v_t: Vector::zeros(dim), xi_t: 0.0 })
+            }
+            // Refinement is always fresh — it anchors the final model.
+            (PHASE_REFINE, _) => {
+                self.fresh += 1;
+                (round, self.solver.refine_or_consensus(w0, round))
+            }
+            (_, Some((basis, update))) if self.busy(round) => {
+                self.stale += 1;
+                (*basis, update.clone())
+            }
+            _ => {
+                self.fresh += 1;
+                let update = self.solver.solve_or_consensus(w0, u_t);
+                self.last = Some((round, update.clone()));
+                (round, update)
+            }
+        };
+        self.compute += start.elapsed();
+        let LocalUpdate { w_t, v_t, xi_t } = update;
+        let reply = Message::Update { round, basis, user: self.user, w_t, v_t, xi_t };
+        self.sent = Some((round, reply.clone()));
+        DeviceStep::Send(reply)
+    }
+}
+
+impl DeviceMachine for Device {
+    type Output = DeviceOutcome;
+
+    fn on_message(&mut self, message: Message) -> DeviceStep {
+        match message {
+            Message::Assign { round, phase, cccp_round, t_count, w0, u_t } => {
+                self.assign(round, phase, cccp_round, t_count, &w0, &u_t)
+            }
+            // Checkpoint resume: adopt the recorded CCCP anchor and cohort
+            // size, then ack. The ack carries empty vectors — it is a
+            // liveness signal, not an update — and is never cached: the
+            // star replays logged rounds up to the restore round next.
+            Message::Restore { round, t_count, w_t } => {
+                self.solver.restore(w_t, t_count as usize);
+                (self.cccp_round, self.last, self.sent) = (None, None, None);
+                let empty = Vector::zeros(0);
+                DeviceStep::Send(Message::Update {
+                    round,
+                    basis: round,
+                    user: self.user,
+                    w_t: empty.clone(),
+                    v_t: empty,
+                    xi_t: 0.0,
+                })
+            }
+            Message::Shutdown => DeviceStep::Done,
+            // Tree frames never reach a device; drop a stray one.
+            _ => DeviceStep::NeedRecv,
+        }
+    }
+
+    fn finish(self, stats: TrafficStats) -> DeviceOutcome {
+        DeviceOutcome { stats, compute: self.compute, stale: self.stale, fresh: self.fresh }
     }
 }
 
@@ -411,9 +618,105 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "w0 dimension mismatch")]
-    fn dimension_mismatch_panics() {
+    fn dimension_mismatch_is_a_protocol_error() {
         let mut solver = LocalSolver::new(labeled_user(), config(), 2);
-        let _ = solver.solve(&Vector::zeros(3), &Vector::zeros(3)).unwrap();
+        let err = solver.solve(&Vector::zeros(3), &Vector::zeros(3)).unwrap_err();
+        assert!(matches!(err, CoreError::Protocol { .. }), "got {err:?}");
+        let err = solver.solve(&Vector::zeros(2), &Vector::zeros(1)).unwrap_err();
+        assert!(matches!(err, CoreError::Protocol { .. }), "got {err:?}");
+    }
+
+    fn device(solver: LocalSolver) -> Device {
+        Device::new(0, solver, AsyncSpec::SYNCHRONOUS, &FaultPlan::none())
+    }
+
+    fn assign(round: u32, cccp_round: u32, w0: &Vector) -> Message {
+        Message::Assign {
+            round,
+            phase: plos_net::shard::PHASE_ADMM,
+            cccp_round,
+            t_count: 3,
+            w0: w0.clone(),
+            u_t: Vector::zeros(w0.len()),
+        }
+    }
+
+    /// The `(w_t, v_t, ξ_t)` bits of a device's reply.
+    fn reply_bits(step: DeviceStep) -> Vec<u64> {
+        let DeviceStep::Send(Message::Update { w_t, v_t, xi_t, .. }) = step else {
+            panic!("expected an update, got {step:?}");
+        };
+        w_t.iter().chain(v_t.iter()).chain([&xi_t]).map(|c| c.to_bits()).collect()
+    }
+
+    fn update_bits(update: &LocalUpdate) -> Vec<u64> {
+        let LocalUpdate { w_t, v_t, xi_t } = update;
+        w_t.iter().chain(v_t.iter()).chain([xi_t]).map(|c| c.to_bits()).collect()
+    }
+
+    #[test]
+    fn repeated_round_is_answered_from_the_cache() {
+        let mut dev = device(LocalSolver::new(labeled_user(), config(), 3));
+        let w0 = Vector::from(vec![0.4, 0.1]);
+        let first = dev.on_message(assign(1, 0, &w0));
+        let again = dev.on_message(assign(1, 0, &w0));
+        assert_eq!(first, again, "a re-sent round must get the identical reply");
+        assert_eq!(dev.fresh, 1, "a repeat must not solve again");
+        // A round older than the latest answered is superseded: ignored.
+        let _ = dev.on_message(assign(2, 0, &w0));
+        assert_eq!(dev.on_message(assign(1, 0, &w0)), DeviceStep::NeedRecv);
+        assert_eq!(dev.fresh, 2);
+    }
+
+    #[test]
+    fn cccp_step_relinearizes_like_advance_cccp() {
+        let (w0_1, w0_2) = (Vector::from(vec![0.4, 0.1]), Vector::from(vec![0.6, -0.1]));
+        let u = Vector::zeros(2);
+        let mut bare = LocalSolver::new(labeled_user(), config(), 3);
+        let _ = bare.solve(&w0_1, &u).unwrap();
+        bare.advance_cccp();
+        let expected = bare.solve(&w0_2, &u).unwrap();
+
+        let mut dev = device(LocalSolver::new(labeled_user(), config(), 3));
+        let _ = dev.on_message(assign(1, 0, &w0_1));
+        let got = dev.on_message(assign(2, 1, &w0_2));
+        assert_eq!(reply_bits(got), update_bits(&expected));
+    }
+
+    #[test]
+    fn restore_then_assign_matches_restore_then_solve() {
+        let w0 = Vector::from(vec![0.6, -0.1]);
+        let anchor = Vector::from(vec![0.5, 0.2]);
+        let u = Vector::zeros(2);
+        let mut bare = LocalSolver::new(labeled_user(), config(), 3);
+        let _ = bare.solve(&Vector::from(vec![0.4, 0.1]), &u).unwrap();
+        bare.restore(anchor.clone(), 3);
+        let expected = bare.solve(&w0, &u).unwrap();
+
+        // The device solved in CCCP round 0, is restored into round 2 and
+        // replays round 5: it adopts round 2 without advancing again.
+        let mut dev = device(LocalSolver::new(labeled_user(), config(), 3));
+        let _ = dev.on_message(assign(1, 0, &Vector::from(vec![0.4, 0.1])));
+        let ack = dev.on_message(Message::Restore { round: 6, t_count: 3, w_t: anchor });
+        assert!(matches!(ack, DeviceStep::Send(Message::Update { round: 6, .. })));
+        let got = dev.on_message(assign(5, 2, &w0));
+        assert_eq!(reply_bits(got), update_bits(&expected));
+    }
+
+    #[test]
+    fn malformed_assignment_is_dropped_not_solved() {
+        let mut dev = device(LocalSolver::new(labeled_user(), config(), 3));
+        let short = Message::Assign {
+            round: 1,
+            phase: plos_net::shard::PHASE_ADMM,
+            cccp_round: 0,
+            t_count: 3,
+            w0: Vector::zeros(3),
+            u_t: Vector::zeros(3),
+        };
+        assert_eq!(dev.on_message(short), DeviceStep::NeedRecv);
+        assert_eq!(dev.fresh, 0);
+        // The well-formed re-send of the same round is then answered.
+        assert!(matches!(dev.on_message(assign(1, 0, &Vector::zeros(2))), DeviceStep::Send(_)));
     }
 }

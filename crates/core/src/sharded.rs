@@ -6,6 +6,8 @@
 //! [`ShardMap`]; each shard is owned by a **regional aggregator** that
 //! runs the same gather/retry/quorum machinery ([`Fleet`]) over its
 //! devices and pushes one `PartialSum` frame per round up to the root.
+//! The root's request is the devices' own `Assign` frame without a dual;
+//! the regional stamps each device's `u_t` and sends it on.
 //! The root folds the partials **in fixed shard order** and commits the
 //! consensus update back down the tree. The root is the tree's
 //! [`Aggregator`]: the same schedule (`crate::consensus::run_schedule`)
@@ -39,12 +41,12 @@
 //! failover, and a sharded fit with an explicit checkpoint policy fails
 //! with [`CoreError::InvalidConfig`].
 
+use crate::asynchronous::AsyncSpec;
 use crate::checkpoint;
 use crate::config::FaultTolerance;
 use crate::consensus::{self, splitmix64, Aggregator, Cohort, Consensus, Gathered};
 use crate::distributed::{
-    finish_report, DistributedPlos, DistributedReport, Fleet, RoundParticipation, Star,
-    SyncDeviceMachine, POLL_SLICE,
+    finish_report, DistributedPlos, DistributedReport, Fleet, RoundParticipation, Star, POLL_SLICE,
 };
 use crate::error::CoreError;
 use crate::model::PersonalizedModel;
@@ -161,10 +163,9 @@ struct RootDriver<'a> {
     kills_used: BTreeMap<u32, usize>,
     /// Per-shard progress, mirrored into every replica snapshot.
     shards: Vec<ShardState>,
-    /// Live cohort of the last gathered round.
+    /// Live cohort of the last gathered round: the `T` the next round's
+    /// assignments announce.
     cohort: usize,
-    /// Cohort size the devices currently believe (for `RosterUpdate`s).
-    announced: usize,
     /// CCCP objective partials of the last ADMM commit.
     objective: (ExactSum, ExactSum),
     /// Per-round attendance, summed over the shards' partials.
@@ -213,7 +214,6 @@ impl<'a> RootDriver<'a> {
             kills_used: BTreeMap::new(),
             shards,
             cohort: t_count,
-            announced: t_count,
             objective: (ExactSum::new(), ExactSum::new()),
             participation: Vec::new(),
             protocol_errors: 0,
@@ -255,10 +255,10 @@ impl<'a> RootDriver<'a> {
         Ok(())
     }
 
-    /// Receives one in-round reply from shard `s` — the `PartialSum` a
-    /// `ShardBroadcast` asks for, or the `ShardResidual` a `ShardCommit`
-    /// asks for — re-sending `request` on prolonged silence; stale-round
-    /// frames are discarded by tag.
+    /// Receives one in-round reply from shard `s` — the `PartialSum` an
+    /// `Assign` asks for, or the `ShardResidual` a `ShardCommit` asks for —
+    /// re-sending `request` on prolonged silence; stale-round frames are
+    /// discarded by tag.
     fn collect_one(
         &mut self,
         s: usize,
@@ -383,12 +383,12 @@ impl<'a> RootDriver<'a> {
 
     /// The mid-round seam: executes every leader kill the plan scheduled
     /// for `round`, failing over (and adopting the synced checkpoint) per
-    /// kill, then re-issues the round so the regionals replay their cached
-    /// partials. Returns the final partial set to fold.
+    /// kill, then re-issues the round's `request` so the regionals replay
+    /// their cached partials. Returns the final partial set to fold.
     fn seam(
         &mut self,
         st: &mut Consensus,
-        phase: u8,
+        request: &Message,
         mut partials: Vec<Message>,
     ) -> Result<Vec<Message>, CoreError> {
         let round = st.round;
@@ -418,22 +418,12 @@ impl<'a> RootDriver<'a> {
                 self.adopt(st, &bytes)?;
             }
             // The new leader resumes the in-flight round from the adopted
-            // checkpoint: re-issue and re-collect (idempotent replay).
-            let request = Message::ShardBroadcast { round, phase, w0: st.w0.clone() };
-            partials = self.collect(round, &request)?;
+            // checkpoint, synced at the start of this very round: re-issue
+            // the request and re-collect (idempotent replay).
+            self.send_all(&|_s| request.clone())?;
+            partials = self.collect(round, request)?;
         }
         Ok(partials)
-    }
-
-    /// Tells every shard (and through them, every device) the shrunk
-    /// cohort size, mirroring the flat path's `RosterUpdate` publication.
-    fn publish_cohort(&mut self) -> Result<(), CoreError> {
-        if self.cohort != self.announced {
-            self.announced = self.cohort;
-            let t_count = wire_u32(self.cohort);
-            self.send_all(&move |_s| Message::RosterUpdate { t_count })?;
-        }
-        Ok(())
     }
 }
 
@@ -448,10 +438,19 @@ impl Aggregator for RootDriver<'_> {
     fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError> {
         let round = st.round;
         self.sync_replicas(st);
-        let request = Message::ShardBroadcast { round, phase, w0: st.w0.clone() };
+        // The devices' own assignment, without a dual: each regional stamps
+        // its devices' `u_t`.
+        let request = Message::Assign {
+            round,
+            phase,
+            cccp_round: st.cccp_round,
+            t_count: wire_u32(self.cohort),
+            w0: st.w0.clone(),
+            u_t: Vector::zeros(0),
+        };
         self.send_all(&|_s| request.clone())?;
         let partials = self.collect(round, &request)?;
-        let partials = self.seam(st, phase, partials)?;
+        let partials = self.seam(st, &request, partials)?;
         // plos-lint: allow(D2): server compute-time metering only
         let t0 = Instant::now();
         let mut sum = ExactVecSum::zeros(st.w0.len());
@@ -487,9 +486,6 @@ impl Aggregator for RootDriver<'_> {
         );
         self.cohort = part.alive;
         self.participation.push(part);
-        if phase == PHASE_INIT {
-            self.publish_cohort()?;
-        }
         Ok(Gathered { sum, contributors, cohort: self.cohort })
     }
 
@@ -507,7 +503,6 @@ impl Aggregator for RootDriver<'_> {
             }
         }
         let [a, b, c] = merged;
-        self.publish_cohort()?;
         if phase == PHASE_ADMM {
             self.objective = (b, c);
             return Ok([a, ExactSum::new()]);
@@ -517,11 +512,6 @@ impl Aggregator for RootDriver<'_> {
 
     fn objective(&mut self) -> (ExactSum, ExactSum, usize) {
         (self.objective.0.clone(), self.objective.1.clone(), self.cohort)
-    }
-
-    fn advance_cccp(&mut self, cccp_round: usize) -> Result<(), CoreError> {
-        let cccp_round = wire_u32(cccp_round);
-        self.send_all(&move |_s| Message::CccpAdvance { cccp_round })
     }
 
     fn participation(&self) -> Option<RoundParticipation> {
@@ -553,7 +543,7 @@ fn region_loop(
         .zip(ends.iter())
         .map(|(&t, end)| FaultyEndpoint::new(end, plan.link_faults(t)))
         .collect();
-    let mut star = Star::new(Fleet::with_ids(links, ft, devices.clone()), dim);
+    let mut star = Star::new(Fleet::with_ids(links, ft, devices.clone(), dim));
     let mut st = Consensus::new(dim);
     // Idempotent replay caches: a failed-over leader re-issues the round
     // it was killed in, and the cached reply must be byte-identical.
@@ -583,17 +573,8 @@ fn region_loop(
             Err(TransportError::Disconnected) => break,
         };
         let (round, cache) = match &msg {
-            Message::ShardBroadcast { round, .. } => (*round, &mut last_partial),
+            Message::Assign { round, .. } => (*round, &mut last_partial),
             Message::ShardCommit { round, .. } => (*round, &mut last_residual),
-            Message::CccpAdvance { cccp_round } => {
-                star.advance_cccp(*cccp_round as usize)?;
-                continue;
-            }
-            Message::RosterUpdate { t_count } => {
-                let t_count = *t_count;
-                star.fleet.send_alive(&move |_t| Message::RosterUpdate { t_count });
-                continue;
-            }
             Message::Shutdown => break,
             _ => {
                 star.fleet.protocol_errors = star.fleet.protocol_errors.saturating_add(1);
@@ -606,14 +587,14 @@ fn region_loop(
             continue;
         }
         let reply = match msg {
-            Message::ShardBroadcast { phase, w0, .. } => {
+            Message::Assign { phase, cccp_round, t_count, w0, .. } => {
                 if !matches!(phase, PHASE_INIT | PHASE_ADMM | PHASE_REFINE) {
                     return Err(CoreError::Protocol {
                         detail: format!("unknown shard phase {phase} in round {round}"),
                     });
                 }
-                (st.round, st.w0) = (round, w0);
-                let g = star.gather(&mut st, phase)?;
+                (st.round, st.cccp_round, st.w0) = (round, cccp_round, w0);
+                let g = star.run_round(&st, phase, t_count)?;
                 // An empty shard gathers nothing and contributes the exact
                 // zero partial.
                 let part = star.participation().filter(|p| p.round == round);
@@ -700,6 +681,8 @@ pub(crate) fn fit_sharded(
     let (server_out, exits) = cohort.run(
         &trainer.config,
         trainer.runtime,
+        AsyncSpec::SYNCHRONOUS,
+        plan,
         |server_ends| {
             // Move each shard's device endpoints out of the star and into
             // its regional aggregator thread.
@@ -732,7 +715,6 @@ pub(crate) fn fit_sharded(
                 ))
             })
         },
-        |t, solver| SyncDeviceMachine::new(t, solver, plan),
     )?;
 
     let (root_out, region_exits) = server_out;

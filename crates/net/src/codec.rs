@@ -10,7 +10,7 @@ use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use std::fmt;
 
 /// Wire-format version tag; bump on breaking changes.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]

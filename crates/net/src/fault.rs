@@ -51,7 +51,7 @@ pub struct Straggler {
 }
 
 /// A device whose client-side protocol handler panics on receiving the
-/// broadcast of a given round — an app crash mid-ADMM rather than a network
+/// assignment of a given round — an app crash mid-ADMM rather than a network
 /// fault. Injection happens inside the device machine (the trainers consult
 /// [`FaultPlan::panic_round`]), not on the wire, so the server first learns
 /// of the crash the way it would in production: the link goes dead.
@@ -59,7 +59,7 @@ pub struct Straggler {
 pub struct DevicePanic {
     /// Device (user) index in the star.
     pub device: usize,
-    /// The crash fires on the first broadcast whose round (epoch) is at or
+    /// The crash fires on the first assignment whose round (epoch) is at or
     /// after this. "At or after" rather than "equal": a bounded-staleness
     /// server may skip a device's assignment for an epoch entirely, and the
     /// planned crash must not silently fail to trigger because of it.
@@ -174,7 +174,7 @@ impl FaultPlan {
         self
     }
 
-    /// Makes `device`'s client-side handler panic on the broadcast of
+    /// Makes `device`'s client-side handler panic on the assignment of
     /// `round` — the planned app crash for chaos runs.
     #[must_use]
     pub fn with_device_panic(mut self, device: usize, round: u32) -> Self {
@@ -540,7 +540,7 @@ mod tests {
     use super::*;
 
     fn ping() -> Message {
-        Message::CccpAdvance { cccp_round: 7 }
+        Message::ping(7)
     }
 
     #[test]
@@ -625,12 +625,12 @@ mod tests {
 
     #[test]
     fn async_messages_survive_the_fault_layer() {
-        // Fault interplay for the epoch-tagged async protocol: a delayed
-        // `AsyncUpdate` must arrive with its epoch/basis tags intact (the
-        // staleness decision rides on them), and a corrupted one must
+        // Fault interplay for the round-tagged protocol: a delayed
+        // `Update` must arrive with its round/basis tags intact (the
+        // staleness decision rides on them), and a corrupted frame must
         // surface as a codec error, never as a silently mangled update.
-        let update = Message::AsyncUpdate {
-            epoch: 9,
+        let update = Message::Update {
+            round: 9,
             basis: 7,
             user: 3,
             w_t: vec![1.0, -2.0].into(),
@@ -649,9 +649,11 @@ mod tests {
         let plan = FaultPlan::seeded(8).with_corruption(1.0);
         let mut faulty = FaultyEndpoint::new(&server, plan.link_faults(0));
         client
-            .send(&Message::AsyncBroadcast {
-                epoch: 4,
-                staleness_bound: 2,
+            .send(&Message::Assign {
+                round: 4,
+                phase: crate::shard::PHASE_ADMM,
+                cccp_round: 1,
+                t_count: 2,
                 w0: vec![0.0, 1.0].into(),
                 u_t: vec![1.0, 0.0].into(),
             })
@@ -667,9 +669,9 @@ mod tests {
         // the second sails through.
         let plan = FaultPlan::seeded(5).with_reorder(1.0);
         let mut faulty = FaultyEndpoint::new(&server, plan.link_faults(0));
-        client.send(&Message::CccpAdvance { cccp_round: 1 }).unwrap();
+        client.send(&Message::ping(1)).unwrap();
         let first = faulty.recv_timeout(Duration::from_millis(200)).unwrap();
-        assert_eq!(first, Message::CccpAdvance { cccp_round: 1 }, "held frame still delivers");
+        assert_eq!(first, Message::ping(1), "held frame still delivers");
         assert_eq!(faulty.fault_stats().reordered, 1);
     }
 

@@ -14,7 +14,7 @@
 //! * [`codec`] — a byte-exact, length-prefixed binary wire format for model
 //!   parameters, so message *sizes* are real (Fig. 13 reports KB/user);
 //! * [`message`] — the PLOS protocol messages: the server's per-round
-//!   broadcast of `(w0, u_t)` and the clients' `(w_t, v_t, ξ_t)` updates.
+//!   `Assign` of `(w0, u_t)` and the clients' `Update` of `(w_t, v_t, ξ_t)`.
 //!   Raw sensory data has no message type at all — the type system enforces
 //!   the paper's privacy claim that only model parameters travel;
 //! * [`transport`] — mpsc duplex endpoints with per-endpoint

@@ -1,11 +1,16 @@
 //! The distributed-PLOS protocol messages.
 //!
-//! One round of Algorithm 2 exchanges exactly two message kinds between the
-//! server and each user: the server *scatters* the global hyperplane and the
-//! user's scaled dual (`w0`, `u_t`, Eq. 23), and the user *gathers back* its
-//! local solution (`w_t`, `v_t`, `ξ_t`, Eq. 22). The enum deliberately has
-//! **no variant that could carry raw samples** — the privacy property the
-//! paper claims is enforced by the protocol's type.
+//! One round of Algorithm 2 is one scatter and one gather, and the device
+//! link has exactly one frame for each: the server *scatters*
+//! [`Message::Assign`] — the global hyperplane and the user's scaled dual
+//! (`w0`, `u_t`, Eq. 23) plus the round's phase, CCCP round and cohort
+//! size — and the user *gathers back* [`Message::Update`] — its local
+//! solution (`w_t`, `v_t`, `ξ_t`, Eq. 22). Every piece of device control
+//! state rides on the assignment, so a lost frame is recovered by the
+//! round's ordinary retry. `Restore` and `Shutdown` are the only other
+//! frames a device ever sees. The enum deliberately has **no variant that
+//! could carry raw samples** — the privacy property the paper claims is
+//! enforced by the protocol's type.
 
 use crate::codec::{self, CodecError, WIRE_VERSION};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -14,77 +19,38 @@ use plos_linalg::{ExactSum, ExactVecSum, Vector};
 /// A wire message of the distributed-PLOS protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Server → user: start ADMM round `round` with the current global
-    /// hyperplane and this user's scaled dual.
-    Broadcast {
-        /// ADMM iteration counter.
+    /// Server → user: run round `round` of `phase` (see `shard::PHASE_*`)
+    /// against the global hyperplane `w0` and this user's scaled dual
+    /// `u_t` (empty in refinement). The same frame goes root → regional
+    /// aggregator with an empty `u_t`; the regional stamps each device's.
+    Assign {
+        /// Protocol round (ADMM iteration, async epoch or refinement
+        /// round; 0 is the init round).
         round: u32,
+        /// Protocol phase (see `shard::PHASE_*`).
+        phase: u8,
+        /// CCCP round the assignment belongs to: a device whose last
+        /// solve was in an earlier CCCP round re-linearizes first
+        /// (Algorithm 2, step 7).
+        cccp_round: u32,
+        /// Cohort size `T` the server announced when the round opened;
+        /// the device rescales `κ = λ/T` (and the `Σ_k γ_kt ≤ T/2λ` dual
+        /// cap) to it.
+        t_count: u32,
         /// Global hyperplane `w0`.
         w0: Vector,
         /// Scaled dual `u_t` for the receiving user.
         u_t: Vector,
     },
-    /// User → server: the local subproblem solution of Eq. (22).
-    ClientUpdate {
-        /// ADMM iteration this update answers.
+    /// User → server: the reply to the assignment of `round` — the local
+    /// subproblem solution of Eq. (22), computed against the `(w0, u_t)`
+    /// of round `basis` (`basis == round` for a fresh solve, `basis <
+    /// round` for a busy device's cached one). The server measures
+    /// staleness as `round − basis`.
+    Update {
+        /// Assignment round this update answers.
         round: u32,
-        /// Sender's user index `t`.
-        user: u32,
-        /// Personalized hyperplane `w_t`.
-        w_t: Vector,
-        /// Personal bias `v_t = w_t − w0` estimate.
-        v_t: Vector,
-        /// Slack value `ξ_t` (enters the objective, Eq. 23).
-        xi_t: f64,
-    },
-    /// Server → user: begin a new CCCP round — re-linearize `|w_t·x|` around
-    /// the current local hyperplane (Algorithm 2, step 7).
-    CccpAdvance {
-        /// CCCP outer-iteration counter.
-        cccp_round: u32,
-    },
-    /// Server → user: run one multi-start refinement pass against the final
-    /// global hyperplane and report the refined local model.
-    Refine {
-        /// Refinement round counter.
-        round: u32,
-        /// Current global hyperplane to anchor the refinement.
-        w0: Vector,
-    },
-    /// Server → user: training finished, terminate.
-    Shutdown,
-    /// Server → user: the cohort shrank (devices were evicted after
-    /// permanent failures); rescale every `T`-dependent quantity — notably
-    /// the `Σ_k γ_kt ≤ T/2λ` dual cap via `κ = λ/T` — to the new size.
-    RosterUpdate {
-        /// Number of devices still participating.
-        t_count: u32,
-    },
-    /// Server → user: asynchronous assignment — fold your contribution into
-    /// consensus epoch `epoch`. Unlike [`Message::Broadcast`] the server
-    /// does not barrier on the reply; it folds answers in as they arrive,
-    /// discarding any whose basis is more than `staleness_bound` epochs old.
-    AsyncBroadcast {
-        /// Server consensus epoch this assignment belongs to.
-        epoch: u32,
-        /// Staleness bound `S` in force: `0` demands a fresh solve every
-        /// epoch (synchronous degeneracy), `S>0` lets a busy device answer
-        /// with its cached solution up to `S` epochs old.
-        staleness_bound: u32,
-        /// Global hyperplane `w0` at `epoch`.
-        w0: Vector,
-        /// Scaled dual `u_t` for the receiving user at `epoch`.
-        u_t: Vector,
-    },
-    /// User → server: reply to an [`Message::AsyncBroadcast`]. `epoch` names
-    /// the assignment it answers; `basis` names the epoch whose `(w0, u_t)`
-    /// the payload was actually computed against (`basis == epoch` for a
-    /// fresh solve, `basis < epoch` for a cached reply from a busy device).
-    /// The server measures staleness as `current_epoch - basis`.
-    AsyncUpdate {
-        /// Assignment epoch this update answers.
-        epoch: u32,
-        /// Epoch of the consensus state the payload was computed against.
+        /// Round of the consensus state the payload was computed against.
         basis: u32,
         /// Sender's user index `t`.
         user: u32,
@@ -108,17 +74,8 @@ pub enum Message {
         /// round (its sign-linearization anchor).
         w_t: Vector,
     },
-    /// Root → regional aggregator: run phase `phase` of round `round` over
-    /// your shard against global hyperplane `w0`. The regional fans the
-    /// work out to its devices with the ordinary per-device messages.
-    ShardBroadcast {
-        /// Aggregation round counter (ADMM iteration or refinement round).
-        round: u32,
-        /// Protocol phase (see `shard::PHASE_*`).
-        phase: u8,
-        /// Global hyperplane `w0` for this round.
-        w0: Vector,
-    },
+    /// Server → user: training finished, terminate.
+    Shutdown,
     /// Regional aggregator → root: the shard's exactly-accumulated partial
     /// sums for one round. Partials are [`ExactVecSum`]s rather than
     /// folded `f64` vectors so the root's shard-ordered merge is
@@ -170,19 +127,13 @@ pub enum Message {
     },
 }
 
-const TAG_BROADCAST: u8 = 1;
-const TAG_CLIENT_UPDATE: u8 = 2;
-const TAG_CCCP_ADVANCE: u8 = 3;
+const TAG_ASSIGN: u8 = 1;
+const TAG_UPDATE: u8 = 2;
+const TAG_RESTORE: u8 = 3;
 const TAG_SHUTDOWN: u8 = 4;
-const TAG_REFINE: u8 = 5;
-const TAG_ROSTER_UPDATE: u8 = 6;
-const TAG_RESTORE: u8 = 7;
-const TAG_ASYNC_BROADCAST: u8 = 8;
-const TAG_ASYNC_UPDATE: u8 = 9;
-const TAG_SHARD_BROADCAST: u8 = 10;
-const TAG_PARTIAL_SUM: u8 = 11;
-const TAG_SHARD_COMMIT: u8 = 12;
-const TAG_SHARD_RESIDUAL: u8 = 13;
+const TAG_PARTIAL_SUM: u8 = 5;
+const TAG_SHARD_COMMIT: u8 = 6;
+const TAG_SHARD_RESIDUAL: u8 = 7;
 
 impl Message {
     /// Encodes the message to its wire representation.
@@ -190,35 +141,23 @@ impl Message {
         let mut buf = BytesMut::with_capacity(self.wire_len());
         buf.put_u8(WIRE_VERSION);
         match self {
-            Message::Broadcast { round, w0, u_t } => {
-                buf.put_u8(TAG_BROADCAST);
+            Message::Assign { round, phase, cccp_round, t_count, w0, u_t } => {
+                buf.put_u8(TAG_ASSIGN);
                 buf.put_u32_le(*round);
+                buf.put_u8(*phase);
+                buf.put_u32_le(*cccp_round);
+                buf.put_u32_le(*t_count);
                 codec::put_vector(&mut buf, w0);
                 codec::put_vector(&mut buf, u_t);
             }
-            Message::ClientUpdate { round, user, w_t, v_t, xi_t } => {
-                buf.put_u8(TAG_CLIENT_UPDATE);
+            Message::Update { round, basis, user, w_t, v_t, xi_t } => {
+                buf.put_u8(TAG_UPDATE);
                 buf.put_u32_le(*round);
+                buf.put_u32_le(*basis);
                 buf.put_u32_le(*user);
                 codec::put_vector(&mut buf, w_t);
                 codec::put_vector(&mut buf, v_t);
                 buf.put_f64_le(*xi_t);
-            }
-            Message::CccpAdvance { cccp_round } => {
-                buf.put_u8(TAG_CCCP_ADVANCE);
-                buf.put_u32_le(*cccp_round);
-            }
-            Message::Refine { round, w0 } => {
-                buf.put_u8(TAG_REFINE);
-                buf.put_u32_le(*round);
-                codec::put_vector(&mut buf, w0);
-            }
-            Message::Shutdown => {
-                buf.put_u8(TAG_SHUTDOWN);
-            }
-            Message::RosterUpdate { t_count } => {
-                buf.put_u8(TAG_ROSTER_UPDATE);
-                buf.put_u32_le(*t_count);
             }
             Message::Restore { round, t_count, w_t } => {
                 buf.put_u8(TAG_RESTORE);
@@ -226,27 +165,8 @@ impl Message {
                 buf.put_u32_le(*t_count);
                 codec::put_vector(&mut buf, w_t);
             }
-            Message::AsyncBroadcast { epoch, staleness_bound, w0, u_t } => {
-                buf.put_u8(TAG_ASYNC_BROADCAST);
-                buf.put_u32_le(*epoch);
-                buf.put_u32_le(*staleness_bound);
-                codec::put_vector(&mut buf, w0);
-                codec::put_vector(&mut buf, u_t);
-            }
-            Message::AsyncUpdate { epoch, basis, user, w_t, v_t, xi_t } => {
-                buf.put_u8(TAG_ASYNC_UPDATE);
-                buf.put_u32_le(*epoch);
-                buf.put_u32_le(*basis);
-                buf.put_u32_le(*user);
-                codec::put_vector(&mut buf, w_t);
-                codec::put_vector(&mut buf, v_t);
-                buf.put_f64_le(*xi_t);
-            }
-            Message::ShardBroadcast { round, phase, w0 } => {
-                buf.put_u8(TAG_SHARD_BROADCAST);
-                buf.put_u32_le(*round);
-                buf.put_u8(*phase);
-                codec::put_vector(&mut buf, w0);
+            Message::Shutdown => {
+                buf.put_u8(TAG_SHUTDOWN);
             }
             Message::PartialSum { shard, round, n, m, participation, sum_w, retries } => {
                 buf.put_u8(TAG_PARTIAL_SUM);
@@ -289,51 +209,28 @@ impl Message {
         }
         let tag = codec::get_u8(&mut bytes)?;
         match tag {
-            TAG_BROADCAST => Ok(Message::Broadcast {
+            TAG_ASSIGN => Ok(Message::Assign {
                 round: codec::get_u32(&mut bytes)?,
-                w0: codec::get_vector(&mut bytes)?,
-                u_t: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_CLIENT_UPDATE => Ok(Message::ClientUpdate {
-                round: codec::get_u32(&mut bytes)?,
-                user: codec::get_u32(&mut bytes)?,
-                w_t: codec::get_vector(&mut bytes)?,
-                v_t: codec::get_vector(&mut bytes)?,
-                xi_t: codec::get_f64(&mut bytes)?,
-            }),
-            TAG_CCCP_ADVANCE => {
-                Ok(Message::CccpAdvance { cccp_round: codec::get_u32(&mut bytes)? })
-            }
-            TAG_REFINE => Ok(Message::Refine {
-                round: codec::get_u32(&mut bytes)?,
-                w0: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_SHUTDOWN => Ok(Message::Shutdown),
-            TAG_ROSTER_UPDATE => Ok(Message::RosterUpdate { t_count: codec::get_u32(&mut bytes)? }),
-            TAG_RESTORE => Ok(Message::Restore {
-                round: codec::get_u32(&mut bytes)?,
+                phase: codec::get_u8(&mut bytes)?,
+                cccp_round: codec::get_u32(&mut bytes)?,
                 t_count: codec::get_u32(&mut bytes)?,
-                w_t: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_ASYNC_BROADCAST => Ok(Message::AsyncBroadcast {
-                epoch: codec::get_u32(&mut bytes)?,
-                staleness_bound: codec::get_u32(&mut bytes)?,
                 w0: codec::get_vector(&mut bytes)?,
                 u_t: codec::get_vector(&mut bytes)?,
             }),
-            TAG_ASYNC_UPDATE => Ok(Message::AsyncUpdate {
-                epoch: codec::get_u32(&mut bytes)?,
+            TAG_UPDATE => Ok(Message::Update {
+                round: codec::get_u32(&mut bytes)?,
                 basis: codec::get_u32(&mut bytes)?,
                 user: codec::get_u32(&mut bytes)?,
                 w_t: codec::get_vector(&mut bytes)?,
                 v_t: codec::get_vector(&mut bytes)?,
                 xi_t: codec::get_f64(&mut bytes)?,
             }),
-            TAG_SHARD_BROADCAST => Ok(Message::ShardBroadcast {
+            TAG_RESTORE => Ok(Message::Restore {
                 round: codec::get_u32(&mut bytes)?,
-                phase: codec::get_u8(&mut bytes)?,
-                w0: codec::get_vector(&mut bytes)?,
+                t_count: codec::get_u32(&mut bytes)?,
+                w_t: codec::get_vector(&mut bytes)?,
             }),
+            TAG_SHUTDOWN => Ok(Message::Shutdown),
             TAG_PARTIAL_SUM => Ok(Message::PartialSum {
                 shard: codec::get_u32(&mut bytes)?,
                 round: codec::get_u32(&mut bytes)?,
@@ -362,33 +259,38 @@ impl Message {
     /// Exact encoded size in bytes.
     pub fn wire_len(&self) -> usize {
         2 + match self {
-            Message::Broadcast { w0, u_t, .. } => {
-                4 + codec::vector_wire_len(w0) + codec::vector_wire_len(u_t)
+            Message::Assign { w0, u_t, .. } => {
+                4 + 1 + 4 + 4 + codec::vector_wire_len(w0) + codec::vector_wire_len(u_t)
             }
-            Message::ClientUpdate { w_t, v_t, .. } => {
-                4 + 4 + codec::vector_wire_len(w_t) + codec::vector_wire_len(v_t) + 8
-            }
-            Message::CccpAdvance { .. } => 4,
-            Message::Refine { w0, .. } => 4 + codec::vector_wire_len(w0),
-            Message::Shutdown => 0,
-            Message::RosterUpdate { .. } => 4,
-            Message::Restore { w_t, .. } => 4 + 4 + codec::vector_wire_len(w_t),
-            Message::AsyncBroadcast { w0, u_t, .. } => {
-                4 + 4 + codec::vector_wire_len(w0) + codec::vector_wire_len(u_t)
-            }
-            Message::AsyncUpdate { w_t, v_t, .. } => {
+            Message::Update { w_t, v_t, .. } => {
                 4 + 4 + 4 + codec::vector_wire_len(w_t) + codec::vector_wire_len(v_t) + 8
             }
-            Message::ShardBroadcast { w0, .. } | Message::ShardCommit { w0, .. } => {
-                4 + 1 + codec::vector_wire_len(w0)
-            }
+            Message::Restore { w_t, .. } => 4 + 4 + codec::vector_wire_len(w_t),
+            Message::Shutdown => 0,
             Message::PartialSum { sum_w, .. } => 6 * 4 + codec::exact_vec_sum_wire_len(sum_w),
+            Message::ShardCommit { w0, .. } => 4 + 1 + codec::vector_wire_len(w0),
             Message::ShardResidual { a, b, c, .. } => {
                 4 + 4
                     + codec::exact_sum_wire_len(a)
                     + codec::exact_sum_wire_len(b)
                     + codec::exact_sum_wire_len(c)
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Message {
+    /// A small assignment tagged `round`: the payload of the transport,
+    /// fault and runner tests.
+    pub(crate) fn ping(round: u32) -> Message {
+        Message::Assign {
+            round,
+            phase: crate::shard::PHASE_ADMM,
+            cccp_round: 0,
+            t_count: 1,
+            w0: Vector::zeros(0),
+            u_t: Vector::zeros(0),
         }
     }
 }
@@ -404,32 +306,45 @@ mod tests {
         assert_eq!(decoded, m);
     }
 
-    #[test]
-    fn broadcast_round_trip() {
-        round_trip(Message::Broadcast {
-            round: 7,
-            w0: Vector::from(vec![1.0, -2.0, 3.5]),
-            u_t: Vector::from(vec![0.25, 0.0, -9.0]),
-        });
+    fn assign(round: u32, phase: u8, w0: Vec<f64>, u_t: Vec<f64>) -> Message {
+        Message::Assign {
+            round,
+            phase,
+            cccp_round: 2,
+            t_count: 11,
+            w0: Vector::from(w0),
+            u_t: Vector::from(u_t),
+        }
+    }
+
+    fn update(round: u32, basis: u32, w_t: Vec<f64>, v_t: Vec<f64>, xi_t: f64) -> Message {
+        Message::Update {
+            round,
+            basis,
+            user: 42,
+            w_t: Vector::from(w_t),
+            v_t: Vector::from(v_t),
+            xi_t,
+        }
     }
 
     #[test]
-    fn client_update_round_trip() {
-        round_trip(Message::ClientUpdate {
-            round: 3,
-            user: 42,
-            w_t: Vector::from(vec![0.1, 0.2]),
-            v_t: Vector::from(vec![-0.1, 0.3]),
-            xi_t: 1.75,
-        });
+    fn assign_round_trip() {
+        round_trip(assign(7, 1, vec![1.0, -2.0, 3.5], vec![0.25, 0.0, -9.0]));
+        round_trip(assign(0, 0, vec![0.0, 0.0], vec![0.0, 0.0]));
+        // Refinement assignments carry no dual.
+        round_trip(assign(3, 2, vec![1.0, -0.5], Vec::new()));
+    }
+
+    #[test]
+    fn update_round_trip() {
+        round_trip(update(3, 3, vec![0.1, 0.2], vec![-0.1, 0.3], 1.75));
+        round_trip(update(17, 14, vec![0.1, 0.2], vec![-0.1, 0.3], -1.75));
     }
 
     #[test]
     fn control_messages_round_trip() {
-        round_trip(Message::CccpAdvance { cccp_round: 2 });
         round_trip(Message::Shutdown);
-        round_trip(Message::Refine { round: 3, w0: Vector::from(vec![1.0, -0.5]) });
-        round_trip(Message::RosterUpdate { t_count: 11 });
     }
 
     #[test]
@@ -454,51 +369,13 @@ mod tests {
 
     #[test]
     fn empty_vectors_round_trip() {
-        round_trip(Message::Broadcast { round: 0, w0: Vector::zeros(0), u_t: Vector::zeros(0) });
-        round_trip(Message::AsyncBroadcast {
-            epoch: 0,
-            staleness_bound: 0,
-            w0: Vector::zeros(0),
-            u_t: Vector::zeros(0),
-        });
-        round_trip(Message::AsyncUpdate {
-            epoch: 0,
-            basis: 0,
-            user: 0,
-            w_t: Vector::zeros(0),
-            v_t: Vector::zeros(0),
-            xi_t: 0.0,
-        });
+        round_trip(assign(0, 0, Vec::new(), Vec::new()));
+        round_trip(update(0, 0, Vec::new(), Vec::new(), 0.0));
     }
 
     #[test]
-    fn async_messages_round_trip() {
-        round_trip(Message::AsyncBroadcast {
-            epoch: 17,
-            staleness_bound: 3,
-            w0: Vector::from(vec![1.0, -2.0, 3.5]),
-            u_t: Vector::from(vec![0.25, 0.0, -9.0]),
-        });
-        round_trip(Message::AsyncUpdate {
-            epoch: 17,
-            basis: 14,
-            user: 6,
-            w_t: Vector::from(vec![0.1, 0.2]),
-            v_t: Vector::from(vec![-0.1, 0.3]),
-            xi_t: -1.75,
-        });
-    }
-
-    #[test]
-    fn async_truncation_rejected() {
-        let m = Message::AsyncUpdate {
-            epoch: 5,
-            basis: 4,
-            user: 1,
-            w_t: Vector::from(vec![1.0, 2.0]),
-            v_t: Vector::from(vec![3.0]),
-            xi_t: 0.5,
-        };
+    fn update_truncation_rejected() {
+        let m = update(5, 4, vec![1.0, 2.0], vec![3.0], 0.5);
         let full = m.encode();
         for cut in 1..full.len() {
             let sliced = full.slice(0..cut);
@@ -514,6 +391,18 @@ mod tests {
     }
 
     #[test]
+    fn version_one_frame_is_rejected() {
+        // A frame from a version-1 peer (its `Broadcast` of round 1 over
+        // two empty vectors) is refused by version, not misread as an
+        // `Assign` with a shifted layout.
+        let mut raw = vec![1u8, 1];
+        raw.extend_from_slice(&1u32.to_le_bytes());
+        raw.extend_from_slice(&[0; 8]);
+        assert_eq!(WIRE_VERSION, 2);
+        assert_eq!(Message::decode(Bytes::from(raw)).unwrap_err(), CodecError::BadVersion(1));
+    }
+
+    #[test]
     fn unknown_tag_rejected() {
         let raw = vec![WIRE_VERSION, 0xAB];
         assert_eq!(Message::decode(Bytes::from(raw)).unwrap_err(), CodecError::UnknownTag(0xAB));
@@ -521,11 +410,7 @@ mod tests {
 
     #[test]
     fn truncation_rejected() {
-        let m = Message::Broadcast {
-            round: 1,
-            w0: Vector::from(vec![1.0, 2.0, 3.0]),
-            u_t: Vector::zeros(3),
-        };
+        let m = assign(1, 1, vec![1.0, 2.0, 3.0], vec![0.0; 3]);
         let full = m.encode();
         for cut in 1..full.len() {
             let sliced = full.slice(0..cut);
@@ -542,11 +427,8 @@ mod tests {
 
     #[test]
     fn shard_messages_round_trip() {
-        round_trip(Message::ShardBroadcast {
-            round: 4,
-            phase: 1,
-            w0: Vector::from(vec![0.5, -1.25]),
-        });
+        // The root → regional request is an `Assign` with an empty dual.
+        round_trip(assign(4, 1, vec![0.5, -1.25], Vec::new()));
         round_trip(Message::ShardCommit {
             round: 4,
             phase: 2,
@@ -646,10 +528,8 @@ mod tests {
     fn message_size_scales_with_dimension_only() {
         // Fig. 13's claim: per-user message size is independent of the
         // number of users — it depends only on the model dimension.
-        let size = |d: usize| {
-            Message::Broadcast { round: 0, w0: Vector::zeros(d), u_t: Vector::zeros(d) }.wire_len()
-        };
-        assert_eq!(size(10), 2 + 4 + 2 * (4 + 80));
+        let size = |d: usize| assign(0, 1, vec![0.0; d], vec![0.0; d]).wire_len();
+        assert_eq!(size(10), 2 + 13 + 2 * (4 + 80));
         assert!(size(20) > size(10));
     }
 }

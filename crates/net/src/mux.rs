@@ -339,7 +339,7 @@ mod tests {
     use super::*;
     use crate::node::try_star;
 
-    /// Echoes `n` CccpAdvance rounds, then reports how many it saw.
+    /// Echoes `n` assignment rounds, then reports how many it saw.
     struct EchoMachine {
         rounds: u32,
         seen: u32,
@@ -350,12 +350,12 @@ mod tests {
 
         fn on_message(&mut self, message: Message) -> DeviceStep {
             match message {
-                Message::CccpAdvance { cccp_round } => {
+                Message::Assign { round, .. } => {
                     self.seen += 1;
                     if self.seen >= self.rounds {
                         return DeviceStep::Done;
                     }
-                    DeviceStep::Send(Message::CccpAdvance { cccp_round })
+                    DeviceStep::Send(Message::ping(round))
                 }
                 Message::Shutdown => DeviceStep::Done,
                 _ => DeviceStep::NeedRecv,
@@ -371,7 +371,7 @@ mod tests {
         let mut echoes = 0;
         for round in 0..rounds {
             for end in server_ends {
-                end.send(&Message::CccpAdvance { cccp_round: round }).unwrap();
+                end.send(&Message::ping(round)).unwrap();
             }
             if round + 1 < rounds {
                 for end in server_ends {

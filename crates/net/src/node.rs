@@ -170,12 +170,12 @@ mod tests {
             |server_ends| {
                 // Send each client its index; collect the echoes.
                 for (t, end) in server_ends.iter().enumerate() {
-                    end.send(&Message::CccpAdvance { cccp_round: t as u32 }).unwrap();
+                    end.send(&Message::ping(t as u32)).unwrap();
                 }
                 server_ends
                     .iter()
                     .map(|end| match end.recv().unwrap() {
-                        Message::CccpAdvance { cccp_round } => cccp_round,
+                        Message::Assign { round, .. } => round,
                         other => panic!("unexpected {other:?}"),
                     })
                     .collect::<Vec<_>>()

@@ -301,11 +301,9 @@ mod tests {
         let regions: Vec<Box<dyn FnOnce(Endpoint) -> u32 + Send>> = (0..3)
             .map(|_| {
                 Box::new(|endpoint: Endpoint| match endpoint.recv().unwrap() {
-                    Message::CccpAdvance { cccp_round } => {
-                        endpoint
-                            .send(&Message::CccpAdvance { cccp_round: cccp_round * 2 })
-                            .unwrap();
-                        cccp_round
+                    Message::Assign { round, .. } => {
+                        endpoint.send(&Message::ping(round * 2)).unwrap();
+                        round
                     }
                     other => panic!("unexpected {other:?}"),
                 }) as Box<dyn FnOnce(Endpoint) -> u32 + Send>
@@ -313,11 +311,11 @@ mod tests {
             .collect();
         let (doubled, exits) = run_tree(regions, |ends| {
             for (s, end) in ends.iter().enumerate() {
-                end.send(&Message::CccpAdvance { cccp_round: s as u32 + 1 }).unwrap();
+                end.send(&Message::ping(s as u32 + 1)).unwrap();
             }
             ends.iter()
                 .map(|end| match end.recv().unwrap() {
-                    Message::CccpAdvance { cccp_round } => cccp_round,
+                    Message::Assign { round, .. } => round,
                     other => panic!("unexpected {other:?}"),
                 })
                 .collect::<Vec<_>>()

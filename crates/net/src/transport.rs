@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn send_and_receive() {
         let (a, b) = Endpoint::pair();
-        let msg = Message::CccpAdvance { cccp_round: 5 };
+        let msg = Message::ping(5);
         a.send(&msg).unwrap();
         assert_eq!(b.recv().unwrap(), msg);
     }
@@ -202,16 +202,19 @@ mod tests {
     fn duplex_works_both_ways() {
         let (a, b) = Endpoint::pair();
         a.send(&Message::Shutdown).unwrap();
-        b.send(&Message::CccpAdvance { cccp_round: 1 }).unwrap();
+        b.send(&Message::ping(1)).unwrap();
         assert_eq!(b.recv().unwrap(), Message::Shutdown);
-        assert_eq!(a.recv().unwrap(), Message::CccpAdvance { cccp_round: 1 });
+        assert_eq!(a.recv().unwrap(), Message::ping(1));
     }
 
     #[test]
     fn counters_track_exact_bytes() {
         let (a, b) = Endpoint::pair();
-        let msg = Message::Broadcast {
+        let msg = Message::Assign {
             round: 0,
+            phase: crate::shard::PHASE_ADMM,
+            cccp_round: 0,
+            t_count: 2,
             w0: Vector::from(vec![1.0, 2.0]),
             u_t: Vector::from(vec![3.0, 4.0]),
         };
@@ -259,8 +262,9 @@ mod tests {
             let msg = b.recv().unwrap();
             b.send(&msg).unwrap(); // echo
         });
-        let original = Message::ClientUpdate {
+        let original = Message::Update {
             round: 9,
+            basis: 9,
             user: 3,
             w_t: Vector::from(vec![0.5]),
             v_t: Vector::from(vec![-0.5]),

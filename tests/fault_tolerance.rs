@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 use plos::core::eval::{plos_predictions, score_predictions};
 use plos::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Seed of every fault plan below. `PLOS_FAULT_SEED` overrides it so CI can
 /// rotate the chaos schedule without a code change.
@@ -343,6 +343,56 @@ fn async_stale_discards_are_counted_in_the_report() {
     }
 }
 
+/// The device link's replay contract: drops, duplicates and delays that a
+/// generous retry policy fully absorbs must leave no trace in the model.
+/// Every piece of device control state (CCCP round, cohort size) rides on
+/// the round's assignment, so a lost frame comes back with the ordinary
+/// re-send, and re-sent or duplicated assignments are answered from the
+/// device's reply cache instead of solving twice. Both the sync star and
+/// the async server at S = 0 must return the clean model bit for bit.
+#[test]
+fn absorbed_faults_replay_the_clean_model_bit_for_bit() {
+    let data = cohort(5, 7);
+    let config = PlosConfig::fast();
+    // Retry until every device answered: a full quorum, short re-send
+    // windows and a budget no round exhausts.
+    let patient = FaultTolerance {
+        retry: RetryPolicy {
+            recv_timeout: Duration::from_millis(40),
+            max_retries: 1000,
+            backoff_base: Duration::from_millis(40),
+            backoff_factor: 1.0,
+            round_deadline: Duration::from_secs(60),
+        },
+        ..FaultTolerance::default()
+    };
+    let sync = DistributedPlos::try_new(config.clone())
+        .unwrap()
+        .try_with_fault_tolerance(patient)
+        .unwrap();
+    let async_s0 = AsyncDistributedPlos::try_new(
+        config,
+        AsyncSpec { staleness_bound: 0, ..AsyncSpec::default() },
+    )
+    .unwrap();
+    let (clean, _) = sync.fit(&data).unwrap();
+    for seed in (1..=5).chain([fault_seed()]) {
+        let plan = FaultPlan::seeded(seed)
+            .with_drop(0.1)
+            .with_duplicates(0.3)
+            .with_delay(0.5, Duration::from_millis(15));
+        let (model, report) = sync.fit_with_faults(&data, &plan).unwrap();
+        for p in &report.participation {
+            assert_eq!(p.replied, p.alive, "seed {seed}: round {} was not filled", p.round);
+        }
+        assert!(report.evicted.is_empty(), "seed {seed}: evicted {:?}", report.evicted);
+        assert_eq!(model, clean, "seed {seed}: the sync star left the clean model");
+        let (model, report) = async_s0.fit_with_faults(&data, &plan).unwrap();
+        assert!(report.evicted.is_empty(), "seed {seed}: evicted {:?}", report.evicted);
+        assert_eq!(model, clean, "seed {seed}: async S=0 left the clean model");
+    }
+}
+
 #[test]
 fn chaos_runs_are_reproducible_for_a_fixed_seed() {
     let data = cohort(4, 13);
@@ -451,4 +501,36 @@ fn failover_composes_with_device_delays() {
         .fit_with_faults(&data, &plan)
         .unwrap();
     assert_eq!(model, flat_model, "delays + failover must still be bit-identical");
+}
+
+/// A failed-over leader re-issues its round to every shard at once instead
+/// of waiting out each shard's re-send timer in turn: a 4-shard fit with a
+/// root kill costs less than two re-send periods over the same fit without
+/// one, where waiting would cost four.
+#[test]
+fn failover_reissues_its_round_without_waiting_for_resends() {
+    /// The root's re-send period for an unanswered tree request.
+    const TREE_RESEND: Duration = Duration::from_millis(500);
+    let data = cohort(8, 11);
+    let trainer = DistributedPlos::try_new(PlosConfig::fast())
+        .unwrap()
+        .with_topology(Topology::Sharded(ShardSpec::new(4).with_replicas(3)));
+    // Best of two fits, so a busy host does not decide the comparison.
+    let fit_time = |plan: &FaultPlan| {
+        (0..2)
+            .map(|_| {
+                let started = Instant::now();
+                trainer.fit_with_faults(&data, plan).unwrap();
+                started.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let clean = fit_time(&FaultPlan::seeded(fault_seed()));
+    let killed = fit_time(&FaultPlan::seeded(fault_seed()).with_root_kill(2));
+    assert!(
+        killed < clean + 2 * TREE_RESEND,
+        "a root kill cost {:?} over the clean fit's {clean:?}",
+        killed.saturating_sub(clean)
+    );
 }

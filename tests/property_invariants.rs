@@ -21,34 +21,65 @@ fn small_vec() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6..1e6f64, 0..20)
 }
 
+/// An `Assign` of phase `phase`: its dual is `u` in init and ADMM rounds
+/// and empty in refinement — or empty in any phase when `drop_dual` is set.
+fn assign(
+    round: u32,
+    phase: u8,
+    cccp_round: u32,
+    w: Vec<f64>,
+    u: Vec<f64>,
+    drop_dual: bool,
+) -> Message {
+    let u = if phase == plos::net::shard::PHASE_REFINE || drop_dual { Vec::new() } else { u };
+    Message::Assign {
+        round,
+        phase,
+        cccp_round,
+        t_count: round % 7 + 1,
+        w0: Vector::from(w),
+        u_t: Vector::from(u),
+    }
+}
+
 proptest! {
+    /// `wire_len` is the exact encoded size, and decoding restores the
+    /// frame, for both device-link frames: the `Update` and an `Assign` of
+    /// every phase with a full or an empty dual.
     #[test]
     fn message_round_trips_byte_exactly(
         round in 0u32..1000,
         user in 0u32..1000,
+        phase in 0u8..3,
+        dual in 0u8..2,
         w in small_vec(),
         v in small_vec(),
         xi in -1e9..1e9f64,
     ) {
-        let msg = Message::ClientUpdate {
+        let update = Message::Update {
             round,
+            basis: round / 2,
             user,
-            w_t: Vector::from(w),
-            v_t: Vector::from(v),
+            w_t: Vector::from(w.clone()),
+            v_t: Vector::from(v.clone()),
             xi_t: xi,
         };
-        let encoded = msg.encode();
-        prop_assert_eq!(encoded.len(), msg.wire_len());
-        prop_assert_eq!(Message::decode(encoded).unwrap(), msg);
+        for msg in [update, assign(round, phase, user, w, v, dual == 0)] {
+            let encoded = msg.encode();
+            prop_assert_eq!(encoded.len(), msg.wire_len());
+            prop_assert_eq!(Message::decode(encoded).unwrap(), msg);
+        }
     }
 
     #[test]
-    fn broadcast_round_trips(round in 0u32..1000, w in small_vec(), u in small_vec()) {
-        let msg = Message::Broadcast {
-            round,
-            w0: Vector::from(w),
-            u_t: Vector::from(u),
-        };
+    fn broadcast_round_trips(
+        round in 0u32..1000,
+        phase in 0u8..3,
+        dual in 0u8..2,
+        w in small_vec(),
+        u in small_vec(),
+    ) {
+        let msg = assign(round, phase, round / 3, w, u, dual == 0);
         prop_assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
     }
 
