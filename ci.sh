@@ -10,6 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark is a package of its own outside the workspace, so the two
+# workspace lints above never see it.
+echo "==> cargo fmt --check + clippy (perfbench)"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo run -p xtask -- lint"
 cargo run -p xtask -- lint
 
@@ -108,7 +114,7 @@ diff "$trace_tmp/dark.txt" "$trace_tmp/nosimd.txt"
 # Resume parity: a run killed at every checkpoint seam and resumed from
 # disk must reproduce the uninterrupted model bit for bit, for the
 # centralized (CCCP) trainer, the flat ADMM star and the async server at
-# S = 0 (DESIGN.md §10).
+# S = 0 and at S = 2 with stragglers (DESIGN.md §10, §13).
 echo "==> resume parity (kill at every checkpoint seam, bit-identical models)"
 cargo build -q --release -p plos-bench --bin resume_parity
 ./target/release/resume_parity
@@ -161,5 +167,10 @@ cargo test -q --test golden_models
 
 echo "==> cargo test -q --features strict-invariants"
 cargo test -q --features strict-invariants
+
+# The feature gates debug_asserts inside the member crates too; their own
+# unit tests exercise those paths directly.
+echo "==> member-crate unit tests under strict-invariants (plos-core, plos-opt)"
+cargo test -q -p plos-core -p plos-opt --features plos-core/strict-invariants,plos-opt/strict-invariants
 
 echo "ci: all gates passed"

@@ -6,8 +6,8 @@
 //!
 //! 1. the synchronous `DistributedPlos`, fault-free;
 //! 2. the asynchronous server under staleness bound `S = 0`, fault-free —
-//!    the bound forces every reply fresh and every pass into a barrier,
-//!    so the trajectory must be the synchronous one exactly;
+//!    every round is then a flat-star round with never-busy devices, so
+//!    the trajectory must be the synchronous one exactly;
 //! 3. the asynchronous `S = 0` server again, under a seeded sub-window
 //!    delay plan — delays inside the barrier's polling window reorder
 //!    arrivals but not the fold (index order), so the digest must still

@@ -1,8 +1,8 @@
 //! Resume-parity gate: killing and resuming training must not change the
 //! model by a single bit.
 //!
-//! For each trainer (centralized CCCP, the flat ADMM star and the async
-//! server at staleness bound S = 0) this binary
+//! For each trainer (centralized CCCP, the flat ADMM star, and the async
+//! server at staleness bound S = 0 and at S = 2 with stragglers) this binary
 //! first runs a seeded fit to completion, then re-runs it with an abort
 //! threshold of one — the run dies at its *first* checkpoint, is resumed,
 //! dies at the next, and so on until completion. Every checkpoint seam the
@@ -12,7 +12,10 @@
 //!
 //! The gate covers fault-free runs only: under fault injection wall-clock
 //! timing feeds retry/eviction decisions, so bit-parity is not defined
-//! there (the chaos suite asserts an accuracy band instead).
+//! there (the chaos suite asserts an accuracy band instead). The S = 2 leg
+//! uses a 2 s quiescence window, so every pass closes by full roster
+//! accounting and its membership follows the seeded straggler process
+//! alone.
 
 use plos_ckpt::model_digest;
 use plos_core::{
@@ -21,6 +24,7 @@ use plos_core::{
 };
 use plos_sensing::dataset::{LabelMask, MultiUserDataset};
 use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
+use std::time::Duration;
 
 /// Canonical model digest (same fold as `trace_parity` and the golden
 /// fixtures): w0 coefficients, then every user's bias, in user order.
@@ -113,8 +117,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(model, _report)| model)
     })?;
 
+    // S = 2 with stragglers: the bounded-staleness passes, resumed at
+    // every CCCP and refinement seam.
+    let s2 = AsyncSpec {
+        availability: 0.6,
+        staleness_bound: 2,
+        poll_window: Duration::from_secs(2),
+        seed: 5,
+    };
+    let (stale_clean, _) = AsyncDistributedPlos::try_new(config.clone(), s2)?.fit(&data)?;
+    let stale_ok = gate("async S=2", &stale_clean, &dir, |policy| {
+        AsyncDistributedPlos::try_new(config.clone(), s2)?
+            .with_checkpointing(policy)
+            .fit(&data)
+            .map(|(model, _report)| model)
+    })?;
+
     std::fs::remove_dir_all(&dir)?;
-    if !(central_ok && dist_ok && async_ok) {
+    if !(central_ok && dist_ok && async_ok && stale_ok) {
         return Err(
             "resume parity violated: killed-and-resumed model differs from clean run".into()
         );

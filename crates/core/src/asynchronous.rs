@@ -8,8 +8,11 @@
 //!
 //! Where [`crate::DistributedPlos`] barriers every ADMM round (one
 //! straggler stalls the whole fleet), this server folds device updates into
-//! the Eq. (23) consensus state *as they arrive*. The protocol (DESIGN.md
-//! §13) is Jacobi-style asynchronous ADMM under a **staleness bound** `S`:
+//! the Eq. (23) consensus state *as they arrive*. It runs the synchronous
+//! servers' own schedule (`crate::consensus::run_schedule`: init → CCCP ×
+//! ADMM → refinement) as a flat star whose ADMM rounds, under a
+//! **staleness bound** `S > 0`, are Jacobi-style asynchronous passes
+//! (DESIGN.md §13):
 //!
 //! * every server pass opens a consensus **epoch**; devices with no
 //!   assignment in flight receive `Assign { round: epoch, w0, u_t, … }`;
@@ -22,58 +25,61 @@
 //!   the per-device slots; over-stale updates are **discarded and
 //!   counted** (`stale_discard` events), and the device is re-assigned
 //!   once its outstanding epoch falls more than `S` behind;
-//! * a pass closes when every live device is accounted for, or — with
-//!   `S > 0` — after a quiescence window with no arrivals, in which case
-//!   the Eq. (23) update runs over whatever subset arrived (an empty pass
-//!   applies nothing and is not counted as an ADMM iteration).
+//! * a pass closes when every live device is accounted for, or after a
+//!   quiescence window with no arrivals; the Eq. (23) update then runs over
+//!   whatever subset arrived. An empty pass applies nothing: the next pass
+//!   opens the next epoch within the same ADMM iteration.
 //!
-//! The device is the synchronous servers' own ([`crate::local::Device`]).
-//! **S = 0 degenerates to the synchronous path bit-for-bit**: the bound
-//! forces every reply fresh (`basis == epoch`), the pass becomes a
-//! barrier whose refresh set is the live roster, and the fold, residual
-//! and objective arithmetic is the synchronous servers' own
-//! (`crate::consensus`) — enforced by the `async_parity` ci gate and
-//! `tests/fault_tolerance.rs`.
+//! Init, refinement and the checkpoint-restore handshake are the star's
+//! own gathers, and **S = 0 is the synchronous star**: every ADMM round is
+//! a star round too (the device ([`crate::local::Device`]) is never busy
+//! under `S = 0`), so the fit is the flat star's by construction. The
+//! `async_parity` ci gate and `tests/fault_tolerance.rs` hold it to that.
 //!
-//! Checkpointing snapshots the consensus state at CCCP and refinement
-//! boundaries, as the [`plos_ckpt::ConsensusState`] record the flat star
-//! also writes; at a boundary the server-held `w_t` slots equal each
-//! device's own anchor, so the record keeps no separate anchors and a
-//! `Restore` handshake re-seats a resumed fleet: the run continues with
-//! bit-parity (fault-free runs).
+//! Checkpointing writes the flat star's [`plos_ckpt::ConsensusState`]
+//! record once a CCCP round's ADMM loop is done and after every refinement
+//! round. At those seams the server-held `w_t` slots equal each device's
+//! own anchor, so the record keeps no anchors and no log, and the star's
+//! `Restore` handshake re-seats a resumed fleet with bit-parity (fault-free
+//! runs).
 
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
-use crate::config::{FaultTolerance, PlosConfig};
-use crate::consensus::{self, Cohort, Consensus, Slots};
-use crate::distributed::{Fleet, Gather, Reply};
+use crate::config::{FaultTolerance, PlosConfig, RetryPolicy, MAX_WAIT};
+use crate::consensus::{self, Aggregator, Cohort, Consensus, Gathered};
+use crate::distributed::{Fleet, Gather, Reply, RoundParticipation, Star};
 use crate::error::CoreError;
 use crate::local::DeviceOutcome;
 use crate::model::PersonalizedModel;
 use crate::wire_u32;
-use plos_ckpt::{ConsensusState, Phase, KIND_ASYNC};
-use plos_linalg::Vector;
-use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
-use plos_net::{DeviceRuntime, Endpoint, FaultPlan, Message, TrafficStats};
+use plos_ckpt::KIND_ASYNC;
+use plos_linalg::{ExactSum, Vector};
+use plos_net::shard::PHASE_ADMM;
+use plos_net::{DeviceRuntime, FaultPlan, Message, TrafficStats};
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
 use std::time::{Duration, Instant};
 
-/// Hard per-pass cap on how long the server waits for the fleet. Generous:
-/// hitting it in barrier mode means the transport is actually broken, not
-/// merely slow.
-const SERVER_WAIT: Duration = Duration::from_secs(60);
+/// The async fleet's gather timing: the whole live roster, with the
+/// assignment re-sent to silent devices every 250 ms and no retry cap (a
+/// dropped frame cannot stall a barrier; devices answer re-sends from their
+/// reply cache), under a 60 s round deadline. The deadline also caps one
+/// `S > 0` pass and a run of empty passes.
+const BARRIER: FaultTolerance = FaultTolerance {
+    quorum_fraction: 1.0,
+    retry: RetryPolicy {
+        recv_timeout: Duration::from_millis(250),
+        max_retries: u32::MAX,
+        backoff_base: Duration::from_millis(250),
+        backoff_factor: 1.0,
+        round_deadline: Duration::from_secs(60),
+    },
+    evict_after: 2,
+};
 
-/// In barrier collections (init, refinement, `S = 0` passes, restore
-/// handshakes) the assignment is re-sent to silent devices at this cadence
-/// so a dropped frame cannot stall the barrier. Devices answer re-sent
-/// assignments idempotently from their reply cache.
-const RESEND_AFTER: Duration = Duration::from_millis(250);
-
-/// Bound on server passes per CCCP round, as a multiple of
-/// `max_admm_iters`: empty passes (nothing arrived in the window) do not
-/// count as iterations, so a cap on total passes guarantees termination
-/// even if the fleet goes silent.
-const PASS_CAP_FACTOR: usize = 8;
+/// The snapshot seam, mixed into the fingerprint: the schedule snapshots a
+/// CCCP boundary before the round's objective push, so a record taken at
+/// an older seam would resume one CCCP round off and must be refused.
+const SEAM: u64 = 2;
 
 /// Straggler model and staleness policy for the asynchronous runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,12 +90,11 @@ pub struct AsyncSpec {
     /// Staleness bound `S`: a reply whose basis epoch is more than `S`
     /// epochs behind the current one is discarded, and a device whose
     /// outstanding assignment falls more than `S` epochs behind is
-    /// re-assigned. `S = 0` degenerates to the synchronous barrier
-    /// protocol bit-for-bit.
+    /// re-assigned. `S = 0` is the synchronous star protocol.
     pub staleness_bound: u32,
-    /// Quiescence window of an `S > 0` server pass: the pass closes once
-    /// no reply has arrived for this long (or the whole live roster is
-    /// accounted for, whichever comes first).
+    /// Quiescence window of an `S > 0` server pass (positive, at most one
+    /// day): the pass closes once no reply has arrived for this long (or
+    /// the whole live roster is accounted for, whichever comes first).
     pub poll_window: Duration,
     /// Seed of the per-device straggler processes.
     pub seed: u64,
@@ -179,37 +184,30 @@ pub struct AsyncDistributedPlos {
     runtime: DeviceRuntime,
 }
 
-/// Mixes the async spec into the structural run fingerprint: resuming with
-/// a different straggler process or staleness bound would follow a
-/// different trajectory, so such snapshots must be refused like a config
-/// mismatch. `poll_window` is excluded — it shapes wall-clock behaviour
-/// only, never the fault-free trajectory.
+/// Mixes the async spec and the [`SEAM`] tag into the structural run
+/// fingerprint: resuming with a different straggler process or staleness
+/// bound would follow a different trajectory, so such snapshots must be
+/// refused like a config mismatch. `poll_window` is excluded — it shapes
+/// wall-clock behaviour only, never the fault-free trajectory.
 fn async_fingerprint(config: &PlosConfig, spec: &AsyncSpec, t_count: usize, dim: usize) -> u64 {
     let base = checkpoint::run_fingerprint(KIND_ASYNC, t_count, dim, config);
     let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
-    mix(mix(mix(base, spec.availability.to_bits()), spec.seed), u64::from(spec.staleness_bound))
+    let specced = mix(mix(base, spec.availability.to_bits()), spec.seed);
+    mix(mix(specced, u64::from(spec.staleness_bound)), SEAM)
 }
 
-/// The bounded-staleness collection policy for [`Fleet::poll`]: matches
-/// arriving `Update`s against `outstanding` by epoch tag, folds the
-/// ones within the staleness bound, and counts the rest
-/// (late/stale/protocol discards). A `barrier` collection lasts until the
-/// whole live roster is accounted for — re-sending the assignment to
-/// silent devices so dropped frames cannot stall it — and a
-/// [`SERVER_WAIT`] expiry is a transport error; otherwise it closes once
-/// no reply has arrived for `quiet_window`.
+/// The collection policy of one `S > 0` pass for [`Fleet::poll`]: matches
+/// arriving `Update`s against `outstanding` by epoch tag, folds the ones
+/// within the staleness bound, and counts the rest (late/stale/protocol
+/// discards). The pass closes once the live roster is accounted for, once
+/// no reply has arrived for `quiet_window`, or at `hard_deadline`.
 struct Collect<'c> {
     outstanding: &'c mut [Option<u32>],
     epoch: u32,
     staleness_bound: u32,
-    barrier: bool,
-    /// The replies only acknowledge a `Restore`; their payload is discarded.
-    ack: bool,
     quiet_window: Duration,
     hard_deadline: Instant,
     quiet_deadline: Instant,
-    resend_at: Instant,
-    resend: &'c dyn Fn(usize) -> Message,
     accepted: Vec<Reply>,
 }
 
@@ -218,30 +216,8 @@ impl Gather for Collect<'_> {
         matches!(self.outstanding.get(t), Some(Some(_)))
     }
 
-    fn closes(&mut self, now: Instant, waiting: usize, _alive: usize) -> Result<bool, CoreError> {
-        if waiting == 0 {
-            return Ok(true);
-        }
-        if now >= self.hard_deadline {
-            if self.barrier {
-                return Err(CoreError::Transport {
-                    detail: format!(
-                        "{waiting} device(s) silent for {SERVER_WAIT:?} in epoch {}",
-                        self.epoch
-                    ),
-                });
-            }
-            return Ok(true);
-        }
-        Ok(!self.barrier && now >= self.quiet_deadline)
-    }
-
-    fn resend_due(&mut self, now: Instant) -> Option<&dyn Fn(usize) -> Message> {
-        (self.barrier && now >= self.resend_at).then_some(self.resend)
-    }
-
-    fn resent(&mut self, at: Instant) {
-        self.resend_at = at + RESEND_AFTER;
+    fn closes(&mut self, now: Instant, waiting: usize, _alive: usize) -> bool {
+        waiting == 0 || now >= self.hard_deadline || now >= self.quiet_deadline
     }
 
     fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message) {
@@ -253,7 +229,7 @@ impl Gather for Collect<'_> {
         // plos-lint: allow(D2): quiescence-window bookkeeping only
         self.quiet_deadline = Instant::now() + self.quiet_window;
         let matched = matches!(self.outstanding.get(t), Some(Some(assigned)) if *assigned == epoch);
-        if !fleet.admits(t, user, self.ack, &w_t, &v_t) {
+        if !fleet.admits(t, user, false, &w_t, &v_t) {
             return;
         }
         if !matched {
@@ -286,51 +262,170 @@ impl Gather for Collect<'_> {
     }
 }
 
-/// The assignment ledger: which epoch each device owes a reply to.
-struct Ledger {
+/// The async server as the consensus schedule's third [`Aggregator`]: a
+/// [`Star`] — its fleet, slots and resume handshake — whose ADMM rounds
+/// under `S > 0` are bounded-staleness passes. Every other round is the
+/// star's own.
+struct AsyncServer<'a> {
+    star: Star<'a>,
+    spec: AsyncSpec,
+    rho: f64,
+    session: Option<CkptSession>,
+    fingerprint: u64,
+    /// The epoch each device owes a reply to.
     outstanding: Vec<Option<u32>>,
+    /// The CCCP round the outstanding assignments belong to.
+    cccp_round: Option<u32>,
+    /// Devices refreshed by the last pass: the mask of its dual step.
+    refresh: Vec<bool>,
+    /// The `w0` the last pass was assigned, for its dual residual.
+    w0: Vector,
 }
 
-impl Ledger {
-    /// One collection over the outstanding assignments of `epoch` (see
-    /// [`Collect`]). Returns the updates to fold; `ack` marks a restore
-    /// handshake, whose replies carry no payload.
-    fn collect(
-        &mut self,
-        fleet: &mut Fleet<'_>,
-        epoch: u32,
-        ack: bool,
-        staleness_bound: u32,
-        (quiet_window, barrier): (Duration, bool),
-        resend: &dyn Fn(usize) -> Message,
-    ) -> Result<Vec<Reply>, CoreError> {
+impl AsyncServer<'_> {
+    /// Whether `phase` runs as bounded-staleness passes.
+    fn passes(&self, phase: u8) -> bool {
+        phase == PHASE_ADMM && self.spec.staleness_bound > 0
+    }
+
+    /// One `S > 0` ADMM iteration: passes from epoch `st.round` on until
+    /// one folds an update. An empty pass leaves the consensus state as it
+    /// was, so the next pass opens the next epoch; empty passes for the
+    /// whole round deadline are a transport failure.
+    fn pass(&mut self, st: &mut Consensus) -> Result<Gathered, CoreError> {
+        let Star { fleet, slots, .. } = &mut self.star;
+        let bound = self.spec.staleness_bound;
+        if self.cccp_round != Some(st.cccp_round) {
+            // The linearization changes with this round's assignments:
+            // every in-flight assignment is void, and its eventual reply a
+            // late discard.
+            self.outstanding.fill(None);
+            self.cccp_round = Some(st.cccp_round);
+        }
+        let deadline = BARRIER.retry.round_deadline;
         // D2 audit: whether a reply folds is decided purely by its
         // epoch/basis tags, never by the wall-clock instant it arrived at.
         // plos-lint: allow(D2): pass-window/deadline timeout plumbing only
         let started = Instant::now();
-        let mut collect = Collect {
-            outstanding: &mut self.outstanding,
-            epoch,
-            staleness_bound,
-            barrier,
-            ack,
-            quiet_window,
-            hard_deadline: started + SERVER_WAIT,
-            quiet_deadline: started + quiet_window,
-            resend_at: started + RESEND_AFTER,
-            resend,
-            accepted: Vec::new(),
-        };
-        fleet.poll(epoch, &mut collect)?;
-        Ok(collect.accepted)
-    }
-
-    /// Marks every live device as owing a reply to `epoch`.
-    fn await_all(&mut self, fleet: &Fleet<'_>, epoch: u32) {
-        for (t, slot) in self.outstanding.iter_mut().enumerate() {
-            if fleet.is_alive(t) {
+        let arrived = loop {
+            let (epoch, alive) = (st.round, wire_u32(fleet.alive_count()));
+            // Devices with nothing in flight get this epoch's (w0, u_t);
+            // devices whose outstanding assignment fell more than S epochs
+            // behind are re-assigned.
+            for (t, slot) in self.outstanding.iter_mut().enumerate() {
+                match *slot {
+                    _ if !fleet.is_alive(t) => continue,
+                    Some(at) if epoch.saturating_sub(at) <= bound => continue,
+                    Some(_) => fleet.reassignments = fleet.reassignments.saturating_add(1),
+                    None => {}
+                }
+                let u_t = slots.u.get(t).cloned().unwrap_or_else(|| Vector::zeros(slots.dim));
+                let (cccp_round, w0) = (st.cccp_round, st.w0.clone());
+                let assign = Message::Assign {
+                    round: epoch,
+                    phase: PHASE_ADMM,
+                    cccp_round,
+                    t_count: alive,
+                    w0,
+                    u_t,
+                };
+                fleet.send_to(t, &assign);
                 *slot = Some(epoch);
             }
+            // plos-lint: allow(D2): pass-window/deadline timeout plumbing only
+            let opened = Instant::now();
+            let mut collect = Collect {
+                outstanding: &mut self.outstanding,
+                epoch,
+                staleness_bound: bound,
+                quiet_window: self.spec.poll_window,
+                hard_deadline: opened + deadline,
+                quiet_deadline: opened + self.spec.poll_window,
+                accepted: Vec::new(),
+            };
+            fleet.poll(epoch, &mut collect)?;
+            if !collect.accepted.is_empty() {
+                break collect.accepted;
+            }
+            if started.elapsed() >= deadline {
+                return Err(CoreError::Transport {
+                    detail: format!("no update folded for {deadline:?} up to epoch {epoch}"),
+                });
+            }
+            st.round = st.round.saturating_add(1);
+        };
+        // The dual step and the primal residual range over the devices
+        // refreshed *this pass*: a frozen straggler slot must not
+        // accumulate dual drift or put a floor under the residual.
+        self.refresh.fill(false);
+        let replied = arrived.len();
+        for (t, w, v, xi) in arrived {
+            slots.store(t, w, v, xi);
+            if let Some(flag) = self.refresh.get_mut(t) {
+                *flag = fleet.is_alive(t);
+            }
+        }
+        self.w0 = st.w0.clone();
+        let alive = fleet.alive_count();
+        let part = RoundParticipation { round: st.round, replied, alive, retries: 0 };
+        fleet.participation.push(part);
+        Ok(Gathered { sum: slots.admm_sum(&fleet.alive), contributors: 0, cohort: alive })
+    }
+}
+
+impl Aggregator for AsyncServer<'_> {
+    fn resume(&mut self) -> Result<Option<Consensus>, CoreError> {
+        self.star.resume()
+    }
+
+    fn gather(&mut self, st: &mut Consensus, phase: u8) -> Result<Gathered, CoreError> {
+        if self.passes(phase) {
+            self.pass(st)
+        } else {
+            self.star.gather(st, phase)
+        }
+    }
+
+    fn commit(&mut self, round: u32, phase: u8, w0: &Vector) -> Result<[ExactSum; 2], CoreError> {
+        if !self.passes(phase) {
+            return self.star.commit(round, phase, w0);
+        }
+        let primal = self.star.slots.u_update(w0, &self.refresh);
+        if let (true, Some(pass)) = (plos_obs::enabled(), self.star.participation()) {
+            let dual = consensus::dual_residual(w0, &self.w0, pass.alive, self.rho);
+            plos_obs::emit(
+                "async_round",
+                &[
+                    ("epoch", round.into()),
+                    ("primal_residual", primal.value().sqrt().into()),
+                    ("dual_residual", dual.into()),
+                    ("folded", pass.replied.into()),
+                    ("alive", pass.alive.into()),
+                ],
+            );
+            plos_obs::counter_add("async.admm_rounds", 1);
+        }
+        Ok([primal, ExactSum::new()])
+    }
+
+    fn objective(&mut self) -> (ExactSum, ExactSum, usize) {
+        self.star.objective()
+    }
+
+    fn participation(&self) -> Option<RoundParticipation> {
+        self.star.participation()
+    }
+
+    /// Snapshots once a CCCP round's ADMM loop is done and after every
+    /// refinement round (`inner_done` marks both), where the slots equal
+    /// the devices' own anchors: no anchors, no log.
+    fn checkpoint(&mut self, st: &Consensus) -> Result<(), CoreError> {
+        match self.session.as_mut() {
+            Some(sess) if st.inner_done => {
+                let star = Some((&self.star.slots, &self.star.fleet));
+                sess.save(&st.record(KIND_ASYNC, self.fingerprint, star).encode())
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -343,7 +438,7 @@ impl AsyncDistributedPlos {
     ///
     /// [`CoreError::InvalidConfig`] when the configuration is invalid, when
     /// `availability` is outside `(0, 1]` (devices that never compute can't
-    /// train), or when `poll_window` is zero.
+    /// train), or when `poll_window` is zero or longer than a day.
     pub fn try_new(config: PlosConfig, spec: AsyncSpec) -> Result<Self, CoreError> {
         config.try_validate()?;
         if !(spec.availability > 0.0 && spec.availability <= 1.0) {
@@ -351,9 +446,9 @@ impl AsyncDistributedPlos {
                 detail: format!("availability must be in (0,1], got {}", spec.availability),
             });
         }
-        if spec.poll_window.is_zero() {
+        if spec.poll_window.is_zero() || spec.poll_window > MAX_WAIT {
             return Err(CoreError::InvalidConfig {
-                detail: "poll_window must be positive".to_string(),
+                detail: "poll_window must be positive and at most one day".to_string(),
             });
         }
         Ok(AsyncDistributedPlos { config, spec, ckpt: None, runtime: DeviceRuntime::default() })
@@ -401,11 +496,12 @@ impl AsyncDistributedPlos {
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyDataset`] when the dataset has no users,
-    /// [`CoreError::Protocol`] for an invalid fault plan, and
-    /// [`CoreError::Transport`] when the whole fleet disconnected or a
-    /// barrier collection starved. Local solve failures on a device degrade
-    /// that device to the consensus update instead of aborting the
-    /// protocol.
+    /// [`CoreError::Protocol`] for an invalid fault plan,
+    /// [`CoreError::Transport`] when the whole fleet disconnected or no
+    /// update folded for the 60 s round deadline, and
+    /// [`CoreError::QuorumLost`] when a barrier round ended with no reply.
+    /// Local solve failures on a device degrade that device to the
+    /// consensus update instead of aborting the protocol.
     pub fn fit_with_faults(
         &self,
         dataset: &MultiUserDataset,
@@ -428,9 +524,47 @@ impl AsyncDistributedPlos {
 
         let (server_out, exits) =
             cohort.run(&self.config, self.runtime, self.spec, plan, |ends| {
-                self.serve(ends, t_count, dim, plan, fingerprint, resume, session)
+                let mut star = Star::new(Fleet::new(plan.wrap_links(ends), BARRIER, dim));
+                star.resume = resume;
+                let mut server = AsyncServer {
+                    star,
+                    spec: self.spec,
+                    rho: self.config.rho,
+                    session,
+                    fingerprint,
+                    outstanding: vec![None; t_count],
+                    cccp_round: None,
+                    refresh: vec![false; t_count],
+                    w0: Vector::zeros(dim),
+                };
+                let st = consensus::run_schedule(&self.config, &mut server, dim)?;
+                server.star.fleet.shutdown();
+                if let Some(sess) = &server.session {
+                    sess.clear()?;
+                }
+                let Star { fleet, slots, .. } = server.star;
+                let model =
+                    consensus::assemble_model(st.w0, &slots.w, &fleet.alive, self.config.bias);
+                let report = AsyncReport {
+                    per_user_traffic: Vec::new(),
+                    admm_iterations: st.admm_iterations,
+                    cccp_rounds: st.cccp_rounds,
+                    history: st.history,
+                    converged: st.converged,
+                    stale_replies: Vec::new(),
+                    fresh_replies: Vec::new(),
+                    stale_discards: fleet.stale_discards,
+                    late_discards: fleet.late_discards,
+                    reassignments: fleet.reassignments,
+                    protocol_errors: fleet.protocol_errors,
+                    evicted: fleet.evicted,
+                    panicked: Vec::new(),
+                    wall_clock: Duration::ZERO,
+                };
+                Ok::<_, CoreError>((model, report))
             })?;
 
+        // The devices' half of the report.
         let (model, mut report) = server_out?;
         for out in exits.outputs {
             let DeviceOutcome { stats, stale, fresh, .. } = out.unwrap_or_default();
@@ -455,263 +589,6 @@ impl AsyncDistributedPlos {
                 ],
             );
         }
-        Ok((model, report))
-    }
-
-    /// The server thread: initialization (or checkpoint resume), CCCP ×
-    /// bounded-staleness ADMM passes, refinement, shutdown. The Eq. (23)
-    /// fold, Eq. (24) residuals and the objective are the shared consensus
-    /// core's — only the collection discipline and the refresh set differ.
-    // Allowed: the resume/checkpoint plumbing genuinely needs the run
-    // coordinates threaded through, and splitting the protocol driver would
-    // scatter the epoch/phase invariants across functions.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn serve(
-        &self,
-        ends: &[Endpoint],
-        t_count: usize,
-        dim: usize,
-        plan: &FaultPlan,
-        fingerprint: u64,
-        resume: Option<ConsensusState>,
-        mut session: Option<CkptSession>,
-    ) -> Result<(PersonalizedModel, AsyncReport), CoreError> {
-        let mut fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default(), dim);
-        let (rho, lambda) = (self.config.rho, self.config.lambda);
-        let bound = self.spec.staleness_bound;
-        // S = 0 is a barrier pass; S > 0 closes on quiescence.
-        let barrier = (SERVER_WAIT, true);
-        let pass = if bound == 0 { barrier } else { (self.spec.poll_window, false) };
-        let pass_cap = self.config.max_admm_iters.saturating_mul(PASS_CAP_FACTOR);
-        // Boundary snapshot: the consensus header, the slots and the roster.
-        let mut save = |st: &Consensus, slots: &Slots, fleet: &Fleet<'_>| match session.as_mut() {
-            Some(sess) => {
-                sess.save(&st.record(KIND_ASYNC, fingerprint, Some((slots, fleet))).encode())
-            }
-            None => Ok(()),
-        };
-
-        let mut ledger = Ledger { outstanding: vec![None; t_count] };
-        // The consensus state (its `round` is the epoch) and device slots.
-        let (mut st, mut slots) = (Consensus::new(dim), Slots::new(t_count, dim));
-        let (mut start_cccp, mut refine_start) = (0, 0);
-        if let Some(mut rec) = resume {
-            // Adopt the checkpointed roster, then reposition the survivors:
-            // at a CCCP/refinement boundary every device's own anchor
-            // equals the server-held w_t slot, so the Restore handshake
-            // re-seats the fleet exactly (and each device adopts the next
-            // assignment's CCCP round without re-linearizing again).
-            fleet.restore_roster(&rec.roster);
-            let restore = fleet.send_restore(&rec);
-            ledger.await_all(&fleet, rec.round);
-            ledger.collect(&mut fleet, rec.round, true, bound, barrier, &restore)?;
-            (st, slots) = Consensus::from_record(&mut rec);
-            (start_cccp, refine_start) = match st.phase {
-                Phase::Cccp => (st.cccp_round as usize, 0),
-                Phase::Refine { rounds_done } => {
-                    (self.config.max_cccp_rounds, rounds_done as usize)
-                }
-            };
-        } else {
-            // ---- Init epoch 0: average provider hyperplanes (identical to
-            // Algorithm 2). ----
-            let (zero, t_count) = (Vector::zeros(dim), wire_u32(t_count));
-            let init = |_t: usize| Message::Assign {
-                round: 0,
-                phase: PHASE_INIT,
-                cccp_round: 0,
-                t_count,
-                w0: zero.clone(),
-                u_t: zero.clone(),
-            };
-            fleet.send_alive(&init);
-            ledger.await_all(&fleet, 0);
-            let replies = ledger.collect(&mut fleet, 0, false, bound, barrier, &init)?;
-            let (sum, contributors) = consensus::init_sum(replies.iter().map(|r| &r.1), dim);
-            st.w0 = consensus::init_w0(&sum, contributors, self.config.seed);
-        }
-
-        // ---- CCCP × bounded-staleness ADMM passes ----
-        for cccp_round in start_cccp..self.config.max_cccp_rounds {
-            if st.converged {
-                break;
-            }
-            st.cccp_rounds += 1;
-            // The linearization changes with this round's assignments: every
-            // in-flight assignment is void, and its eventual reply a late
-            // discard.
-            ledger.outstanding.fill(None);
-            let cccp = wire_u32(cccp_round);
-
-            let mut applied = 0usize;
-            let mut passes = 0usize;
-            while applied < self.config.max_admm_iters && passes < pass_cap {
-                passes += 1;
-                st.round = st.round.saturating_add(1);
-                let (epoch, alive) = (st.round, wire_u32(fleet.alive_count()));
-                // The same assignment serves the barrier re-sends.
-                let assignment = |t: usize| Message::Assign {
-                    round: epoch,
-                    phase: PHASE_ADMM,
-                    cccp_round: cccp,
-                    t_count: alive,
-                    w0: st.w0.clone(),
-                    u_t: slots.u.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                };
-                // Assign: devices with nothing in flight get this epoch's
-                // (w0, u_t); devices whose outstanding assignment fell more
-                // than S epochs behind are re-assigned.
-                for t in 0..t_count {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    let assign = match ledger.outstanding.get(t) {
-                        Some(None) => true,
-                        Some(Some(at)) if epoch.saturating_sub(*at) > bound => {
-                            fleet.reassignments = fleet.reassignments.saturating_add(1);
-                            true
-                        }
-                        _ => false,
-                    };
-                    if assign {
-                        fleet.send_to(t, &assignment(t));
-                        if let Some(slot) = ledger.outstanding.get_mut(t) {
-                            *slot = Some(epoch);
-                        }
-                    }
-                }
-
-                let arrived = ledger.collect(&mut fleet, epoch, false, bound, pass, &assignment)?;
-                let folded = arrived.len();
-                if folded == 0 {
-                    // Nothing arrived in the window: the consensus state is
-                    // unchanged, so applying Eq. (23) would only replay the
-                    // previous iterate. Wait for the fleet instead.
-                    continue;
-                }
-                // Dual updates and the primal residual range over the
-                // devices whose blocks were refreshed *this pass*: a frozen
-                // straggler slot must not accumulate dual drift or put a
-                // floor under the residual. Under S = 0 the barrier makes
-                // the refreshed set exactly the live roster, which is the
-                // synchronous iteration verbatim.
-                let mut refresh = vec![false; t_count];
-                for (t, w, v, xi) in arrived {
-                    slots.store(t, w, v, xi);
-                    if let Some(flag) = refresh.get_mut(t) {
-                        *flag = fleet.is_alive(t);
-                    }
-                }
-                applied += 1;
-                st.admm_iterations += 1;
-
-                // Eq. (23)/(24) over the live cohort; every T-dependent
-                // scalar uses the shrunk size.
-                let cohort = fleet.alive_count();
-                let w0_new = consensus::admm_w0(&slots.admm_sum(&fleet.alive), cohort, rho);
-                let dual = consensus::dual_residual(&w0_new, &st.w0, cohort, rho);
-                let primal = slots.u_update(&w0_new, &refresh).value().sqrt();
-                st.w0 = w0_new;
-                if plos_obs::enabled() {
-                    plos_obs::emit(
-                        "async_round",
-                        &[
-                            ("epoch", epoch.into()),
-                            ("primal_residual", primal.into()),
-                            ("dual_residual", dual.into()),
-                            ("folded", folded.into()),
-                            ("alive", cohort.into()),
-                        ],
-                    );
-                    plos_obs::counter_add("async.admm_rounds", 1);
-                }
-                if consensus::residuals_met(primal, dual, cohort, self.config.eps_abs) {
-                    break;
-                }
-            }
-
-            let (v_sq, xi) = slots.objective_sums(&fleet.alive);
-            let objective = consensus::objective(&st.w0, fleet.alive_count(), lambda, &v_sq, &xi);
-            st.history.push(objective);
-            plos_obs::emit(
-                "cccp_round",
-                &[("round", st.cccp_rounds.into()), ("objective", objective.into())],
-            );
-            if st.history.converged(self.config.cccp_tol) {
-                st.converged = true;
-            }
-            // CCCP boundary snapshot, resuming at the next round: at this
-            // point the server-held w_t slots equal each live device's own
-            // anchor (fault-free), which is what makes the Restore
-            // handshake above exact.
-            st.cccp_round = wire_u32(cccp_round + 1);
-            save(&st, &slots, &fleet)?;
-            if st.converged {
-                break;
-            }
-        }
-
-        // ---- Refinement: always a barrier, always fresh — it anchors the
-        // final model, and keeping it synchronous is what pins the S > 0
-        // accuracy band to the synchronous protocol's. ----
-        for refine_round in refine_start..self.config.refine_rounds {
-            st.round = st.round.saturating_add(1);
-            ledger.outstanding.fill(None);
-            let (round, alive) = (st.round, wire_u32(fleet.alive_count()));
-            let refine = |_t: usize| Message::Assign {
-                round,
-                phase: PHASE_REFINE,
-                cccp_round: st.cccp_round,
-                t_count: alive,
-                w0: st.w0.clone(),
-                u_t: Vector::zeros(0),
-            };
-            fleet.send_alive(&refine);
-            ledger.await_all(&fleet, round);
-            for (t, w, v, xi) in
-                ledger.collect(&mut fleet, round, false, bound, barrier, &refine)?
-            {
-                slots.store(t, w, v, xi);
-            }
-
-            let cohort = fleet.alive_count();
-            st.w0 = consensus::refine_w0(&slots.refine_sum(&fleet.alive), cohort, lambda);
-            // xi_ts now carry true local losses, so this is the true
-            // objective in the problem-(3) scale.
-            let (dist, xi) = slots.refine_sums(&st.w0, &fleet.alive);
-            let objective = consensus::objective(&st.w0, cohort, lambda, &dist, &xi);
-            st.history.push(objective);
-            plos_obs::emit(
-                "refine_round",
-                &[("round", (refine_round + 1).into()), ("objective", objective.into())],
-            );
-            st.phase = Phase::Refine { rounds_done: wire_u32(refine_round + 1) };
-            st.cccp_round = wire_u32(self.config.max_cccp_rounds);
-            save(&st, &slots, &fleet)?;
-        }
-
-        fleet.shutdown();
-        if let Some(sess) = &session {
-            sess.clear()?;
-        }
-
-        let model = consensus::assemble_model(st.w0, &slots.w, &fleet.alive, self.config.bias);
-        let report = AsyncReport {
-            per_user_traffic: Vec::new(), // filled by fit()
-            admm_iterations: st.admm_iterations,
-            cccp_rounds: st.cccp_rounds,
-            history: st.history,
-            converged: st.converged,
-            stale_replies: Vec::new(), // filled by fit()
-            fresh_replies: Vec::new(), // filled by fit()
-            stale_discards: fleet.stale_discards,
-            late_discards: fleet.late_discards,
-            reassignments: fleet.reassignments,
-            protocol_errors: fleet.protocol_errors,
-            evicted: fleet.evicted,
-            panicked: Vec::new(),       // filled by fit()
-            wall_clock: Duration::ZERO, // filled by fit()
-        };
         Ok((model, report))
     }
 }
@@ -933,6 +810,16 @@ mod tests {
         assert!(
             matches!(&bad_window, Err(CoreError::InvalidConfig { detail }) if detail.contains("poll_window")),
             "got {bad_window:?}"
+        );
+    }
+
+    #[test]
+    fn unbounded_poll_window_is_refused() {
+        let spec = AsyncSpec { poll_window: Duration::MAX, ..AsyncSpec::default() };
+        let result = AsyncDistributedPlos::try_new(PlosConfig::fast(), spec);
+        assert!(
+            matches!(&result, Err(CoreError::InvalidConfig { detail }) if detail.contains("poll_window")),
+            "got {result:?}"
         );
     }
 

@@ -21,6 +21,10 @@ fn require(ok: bool, detail: &str) -> Result<(), CoreError> {
     }
 }
 
+/// Longest wait a validated duration may ask for: far beyond any useful
+/// round, and far inside what a deadline `Instant` can hold.
+pub(crate) const MAX_WAIT: Duration = Duration::from_secs(24 * 60 * 60);
+
 /// Server-side retry schedule for one gather round of distributed PLOS.
 ///
 /// A round's time budget unfolds as: wait `recv_timeout` for the first
@@ -33,12 +37,12 @@ pub struct RetryPolicy {
     pub recv_timeout: Duration,
     /// Bounded number of re-broadcasts to unresponsive devices per round.
     pub max_retries: u32,
-    /// Wait after the first re-broadcast.
+    /// Wait after the first re-broadcast (at most `round_deadline`).
     pub backoff_base: Duration,
     /// Multiplier applied to the wait after every further re-broadcast.
     pub backoff_factor: f64,
-    /// Hard wall-clock cap on one gather round; when it expires the round
-    /// closes with whatever replies arrived.
+    /// Hard wall-clock cap on one gather round (at most one day); when it
+    /// expires the round closes with whatever replies arrived.
     pub round_deadline: Duration,
 }
 
@@ -76,7 +80,9 @@ impl RetryPolicy {
         require(
             self.round_deadline >= self.recv_timeout,
             "round_deadline must cover at least one gather window",
-        )
+        )?;
+        require(self.round_deadline <= MAX_WAIT, "round_deadline must be at most one day")?;
+        require(self.backoff_base <= self.round_deadline, "backoff_base must fit in round_deadline")
     }
 }
 

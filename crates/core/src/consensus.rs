@@ -12,8 +12,8 @@
 //!   partition merged at the root and keeps the tree's bits;
 //! * the root-side closed forms — init `w0`, Eq. (23) `w0⁺`, Eq. (24)
 //!   residuals and stopping test, the CCCP and refinement objectives;
-//! * [`run_schedule`] — init → CCCP × ADMM → refinement for both sync
-//!   topologies, over the [`Aggregator`] interface;
+//! * [`run_schedule`] — init → CCCP × ADMM → refinement for all three
+//!   servers, over the [`Aggregator`] interface;
 //! * [`Cohort`] — the fit scaffold: plan validation, data preparation, the
 //!   seed-salted per-device solvers and the device run.
 
@@ -343,10 +343,11 @@ pub(crate) struct Gathered {
     pub(crate) cohort: usize,
 }
 
-/// How a sync topology moves one consensus round between the root and the
+/// How a server moves one consensus round between the root and the
 /// devices. The flat star gathers its fleet directly; the sharded tree
-/// relays through regional aggregators. `run_schedule` owns the
-/// arithmetic and the round order; an aggregator owns only transport,
+/// relays through regional aggregators; the async server is a star whose
+/// `S > 0` ADMM rounds are bounded-staleness passes. `run_schedule` owns
+/// the arithmetic and the round order; an aggregator owns only transport,
 /// roster and per-device slots.
 pub(crate) trait Aggregator {
     /// The checkpointed state to resume from, with the devices already
@@ -369,7 +370,7 @@ pub(crate) trait Aggregator {
     fn checkpoint(&mut self, st: &Consensus) -> Result<(), CoreError>;
 }
 
-/// The sync consensus schedule of Algorithm 2, for both topologies:
+/// The consensus schedule of Algorithm 2, for all three servers:
 /// initialization (or checkpoint resume), CCCP × ADMM with the Eq. (23)
 /// fold and Eq. (24) stopping rule, then multi-start refinement. Every
 /// `T`-dependent scalar uses the live cohort the aggregator reports.

@@ -254,19 +254,21 @@ pub(crate) type Reply = (usize, Vector, Vector, f64);
 
 /// A gather's mode-specific policy for [`Fleet::poll`]: which devices are
 /// awaited, which frames count, when to re-send and when the round closes.
-/// The poll loop itself is mode-blind; the sync quorum gather and the async
-/// bounded-staleness collection are two implementations.
+/// The poll loop itself is mode-blind; the star's quorum gather and the
+/// async server's bounded-staleness pass are two implementations.
 pub(crate) trait Gather {
     /// Whether device `t` still owes this round a reply.
     fn awaiting(&self, t: usize) -> bool;
     /// Whether the round closes at `now`, with `waiting` live devices
-    /// still awaited out of `alive`. An `Err` aborts the round.
-    fn closes(&mut self, now: Instant, waiting: usize, alive: usize) -> Result<bool, CoreError>;
+    /// still awaited out of `alive`.
+    fn closes(&mut self, now: Instant, waiting: usize, alive: usize) -> bool;
     /// The frame builder for a re-send to the awaited devices, when one is
-    /// due at `now`.
-    fn resend_due(&mut self, now: Instant) -> Option<&dyn Fn(usize) -> Message>;
+    /// due at `now` (never, by default).
+    fn resend_due(&mut self, _now: Instant) -> Option<&dyn Fn(usize) -> Message> {
+        None
+    }
     /// The re-sends went out; the last one left at `at`.
-    fn resent(&mut self, at: Instant);
+    fn resent(&mut self, _at: Instant) {}
     /// Handles one frame received from device `t`.
     fn on_frame(&mut self, fleet: &mut Fleet<'_>, t: usize, frame: Message);
 }
@@ -294,11 +296,11 @@ impl Gather for QuorumGather<'_> {
         !self.replied.get(t).copied().unwrap_or(true)
     }
 
-    fn closes(&mut self, now: Instant, waiting: usize, alive: usize) -> Result<bool, CoreError> {
+    fn closes(&mut self, now: Instant, waiting: usize, alive: usize) -> bool {
         let required = self.ft.required_replies(alive);
-        Ok(waiting == 0
+        waiting == 0
             || now >= self.deadline
-            || (self.accepted.len() >= required && now >= self.first_window))
+            || (self.accepted.len() >= required && now >= self.first_window)
     }
 
     fn resend_due(&mut self, now: Instant) -> Option<&dyn Fn(usize) -> Message> {
@@ -342,9 +344,9 @@ impl Gather for QuorumGather<'_> {
 
 /// Server-side view of the device roster: the fault-wrapped links plus the
 /// liveness bookkeeping that drives quorum gathers, retries and eviction.
-/// Shared by all three servers: the flat star and each regional aggregator
-/// gather through [`Fleet::gather`], the asynchronous server polls with its
-/// own bounded-staleness [`Gather`] policy.
+/// Shared by all three servers: the flat star, each regional aggregator and
+/// the async server gather through [`Fleet::gather`]; the async server's
+/// `S > 0` passes poll with their own bounded-staleness [`Gather`] policy.
 pub(crate) struct Fleet<'a> {
     pub(crate) links: Vec<FaultyEndpoint<'a>>,
     pub(crate) alive: Vec<bool>,
@@ -487,29 +489,6 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Checkpoint resume handshake, first half: tells the fresh threads of
-    /// devices the interrupted run already evicted to exit (or the join at
-    /// the end of the run would hang on them), then sends every survivor
-    /// its CCCP anchor — the recorded one, or its own last `w_t` where the
-    /// record keeps none — and the checkpointed cohort size. Returns the
-    /// `Restore` builder for the acknowledging collection's re-sends.
-    pub(crate) fn send_restore(&mut self, rec: &ConsensusState) -> impl Fn(usize) -> Message {
-        for (link, &alive) in self.links.iter_mut().zip(&self.alive) {
-            if !alive {
-                let _ = link.send(&Message::Shutdown);
-            }
-        }
-        let (round, t_count, dim) = (rec.round, wire_u32(self.alive_count()), self.dim);
-        let anchors = if rec.anchors.is_empty() { &rec.w_ts } else { &rec.anchors }.clone();
-        let restore = move |t: usize| Message::Restore {
-            round,
-            t_count,
-            w_t: anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-        };
-        self.send_alive(&restore);
-        restore
-    }
-
     /// Adopts the roster a checkpoint recorded: liveness flags, strike
     /// counts, eviction order, attendance and the discard counters, so the
     /// resumed run's report continues the interrupted one's.
@@ -569,8 +548,7 @@ impl<'a> Fleet<'a> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Transport`] when every device disconnected, or whatever
-    /// `gather` returns from [`Gather::closes`].
+    /// [`CoreError::Transport`] when every device disconnected.
     pub(crate) fn poll(&mut self, round: u32, gather: &mut dyn Gather) -> Result<(), CoreError> {
         loop {
             let alive = self.alive_count();
@@ -587,7 +565,7 @@ impl<'a> Fleet<'a> {
             // state. Asserted by tests/clock_independence.rs.
             // plos-lint: allow(D2): retry-window/deadline timeout plumbing only
             let now = Instant::now();
-            if gather.closes(now, waiting.len(), alive)? {
+            if gather.closes(now, waiting.len(), alive) {
                 return Ok(());
             }
             if let Some(resend) = gather.resend_due(now) {
@@ -724,7 +702,7 @@ pub(crate) struct Star<'a> {
     pub(crate) slots: Slots,
     session: Option<CkptSession>,
     fingerprint: u64,
-    resume: Option<ConsensusState>,
+    pub(crate) resume: Option<ConsensusState>,
     /// The CCCP round `anchors` and `log` belong to.
     cccp_round: u32,
     /// Each device's CCCP anchor: its `w_t` at the start of the current
@@ -810,12 +788,27 @@ impl<'a> Star<'a> {
 impl Aggregator for Star<'_> {
     fn resume(&mut self) -> Result<Option<Consensus>, CoreError> {
         let Some(mut rec) = self.resume.take() else { return Ok(None) };
-        self.fleet.restore_roster(&rec.roster);
-        // Reposition the survivors: each adopts its CCCP anchor and the
-        // checkpointed cohort size, then acks (unrecorded — the
+        let fleet = &mut self.fleet;
+        fleet.restore_roster(&rec.roster);
+        // The fresh threads of devices the interrupted run already evicted
+        // must exit, or the join at the end of the run would hang on them.
+        for (link, &alive) in fleet.links.iter_mut().zip(&fleet.alive) {
+            if !alive {
+                let _ = link.send(&Message::Shutdown);
+            }
+        }
+        // Reposition the survivors: each adopts its CCCP anchor (the
+        // recorded one, or its own last w_t where the record keeps none)
+        // and the checkpointed cohort size, then acks (unrecorded — the
         // uninterrupted run never had these rounds).
-        let restore = self.fleet.send_restore(&rec);
-        self.fleet.gather(rec.round, false, &restore)?;
+        let (round, t_count, dim) = (rec.round, wire_u32(fleet.alive_count()), fleet.dim);
+        let anchors = if rec.anchors.is_empty() { &rec.w_ts } else { &rec.anchors };
+        let restore = |t: usize| {
+            let w_t = anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim));
+            Message::Restore { round, t_count, w_t }
+        };
+        fleet.send_alive(&restore);
+        fleet.gather(round, false, &restore)?;
         // Replay the interrupted CCCP round's assignments so each device
         // rebuilds its working set bit for bit. Replies are discarded: the
         // checkpointed server state is authoritative.
@@ -1266,6 +1259,35 @@ mod tests {
             "expected a checkpoint context error, got {resumed:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A retry policy whose `field` is `Duration::MAX`, through the
+    /// trainer's fallible setter: refused at construction, so no fit ever
+    /// adds it to a deadline `Instant`.
+    fn refused_retry(field: &str, retry: RetryPolicy) {
+        let ft = FaultTolerance { retry, ..FaultTolerance::fast() };
+        let trainer = DistributedPlos::try_new(PlosConfig::fast()).unwrap();
+        let result = trainer.try_with_fault_tolerance(ft);
+        assert!(
+            matches!(&result, Err(CoreError::InvalidConfig { detail }) if detail.contains(field)),
+            "{field}: got {result:?}"
+        );
+    }
+
+    #[test]
+    fn unbounded_round_deadline_is_refused() {
+        refused_retry(
+            "round_deadline",
+            RetryPolicy { round_deadline: Duration::MAX, ..RetryPolicy::fast() },
+        );
+    }
+
+    #[test]
+    fn unbounded_backoff_base_is_refused() {
+        refused_retry(
+            "backoff_base",
+            RetryPolicy { backoff_base: Duration::MAX, ..RetryPolicy::fast() },
+        );
     }
 
     #[test]

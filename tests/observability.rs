@@ -172,6 +172,7 @@ fn every_event_name_has_one_schema() {
     let dist = DistributedPlos::try_new(config.clone()).unwrap();
     let tree = dist.clone().with_topology(Topology::Sharded(ShardSpec::new(2)));
     let s0 = AsyncSpec { staleness_bound: 0, ..AsyncSpec::default() };
+    let s2 = AsyncSpec { staleness_bound: 2, ..AsyncSpec::default() };
     let fits = [
         ("centralized", traced(|| CentralizedPlos::try_new(config.clone())?.fit(&data).map(drop))),
         (
@@ -202,6 +203,14 @@ fn every_event_name_has_one_schema() {
         ),
         ("flat", traced(|| dist.fit_with_faults(&data, &plan).map(drop))),
         ("tree", traced(|| tree.fit_with_faults(&data, &plan).map(drop))),
+        (
+            "async S=2",
+            traced(|| {
+                AsyncDistributedPlos::try_new(config.clone(), s2)?
+                    .fit_with_faults(&data, &plan)
+                    .map(drop)
+            }),
+        ),
         (
             "async S=0",
             traced(|| {
@@ -236,6 +245,7 @@ fn every_event_name_has_one_schema() {
         "cutting_round",
         "refine_round",
         "admm_round",
+        "async_round",
         "traffic_summary",
         "eviction",
         "checkpoint_resume",
@@ -270,12 +280,25 @@ fn async_events_match_the_report() {
     let rounds: Vec<_> = events.iter().filter(|e| e.name == "async_round").collect();
     assert_eq!(rounds.len(), report.admm_iterations, "one async_round event per applied ADMM pass");
     assert_eq!(rounds_counter, report.admm_iterations as u64);
-    for event in &rounds {
+    // The shared schedule emits its admm_round for the same iteration, with
+    // the same epoch and residuals.
+    let admm: Vec<_> = events.iter().filter(|e| e.name == "admm_round").collect();
+    assert_eq!(admm.len(), report.admm_iterations, "one admm_round event per ADMM iteration");
+    for (event, iteration) in rounds.iter().zip(&admm) {
         assert!(event.field_f64("primal_residual").unwrap().is_finite());
         assert!(event.field_f64("dual_residual").unwrap().is_finite());
         let folded = event.field_u64("folded").unwrap();
         let alive = event.field_u64("alive").unwrap();
         assert!(folded >= 1 && folded <= alive, "folded {folded} outside [1, {alive}]");
+        assert_eq!(event.field_u64("epoch"), iteration.field_u64("round"));
+        for residual in ["primal_residual", "dual_residual"] {
+            assert_eq!(
+                event.field_f64(residual).map(f64::to_bits),
+                iteration.field_f64(residual).map(f64::to_bits),
+                "epoch {:?}: {residual}",
+                event.field_u64("epoch")
+            );
+        }
     }
 
     let discards: Vec<_> = events.iter().filter(|e| e.name == "stale_discard").collect();
